@@ -439,7 +439,7 @@ std::vector<ControlDecision> AuTraScaleController::run(
   std::vector<ControlDecision> decisions;
   prime(session);
 
-  while (session.now() < until_sec) {
+  while (runtime::before_horizon(session, until_sec)) {
     session.reset_window();
     const double t0 = session.now();
     session.run_for(

@@ -158,7 +158,7 @@ ResilienceReport run_resilience(const std::string& policy,
     baselines::DhalionParams dp;
     dp.max_parallelism = max_parallelism;
     const baselines::DhalionPolicy dhalion(job.topology, dp);
-    while (faulted.now() < options.horizon_sec) {
+    while (runtime::before_horizon(faulted, options.horizon_sec)) {
       faulted.reset_window();
       faulted.run_for(
           std::min(interval, options.horizon_sec - faulted.now()));

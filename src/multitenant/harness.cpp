@@ -6,6 +6,9 @@
 
 namespace autra::mt {
 
+/// advance_all()'s stop tolerance; run() stops on the same test.
+constexpr double kAdvanceToleranceSec = 1e-9;
+
 void TenantSession::run_for(double sec) {
   harness_->tenant_run_for(index_, sec);
 }
@@ -134,9 +137,8 @@ void MultiTenantHarness::advance_all(double target) {
     throw std::logic_error("MultiTenantHarness: no tenants added");
   }
   started_ = true;
-  constexpr double kEps = 1e-9;
   double t = now();
-  while (t + kEps < target) {
+  while (t + kAdvanceToleranceSec < target) {
     const double next = std::min(target, t + params_.coupling_interval_sec);
     // Shared absolute targets: each tenant's engine runs whole ticks up to
     // `next`, so the slicing cannot perturb its float arithmetic.
@@ -203,7 +205,7 @@ void MultiTenantHarness::run(double until_sec) {
   }
   started_ = true;
   for (Tenant& tenant : tenants_) tenant.controller->prime(*tenant.backend);
-  while (now() < until_sec) {
+  while (now() + kAdvanceToleranceSec < until_sec) {
     for (Tenant& tenant : tenants_) tenant.session->reset_window();
     const double t0 = now();
     double interval = tenants_.front().policy_interval_sec;

@@ -76,6 +76,16 @@ class StreamingBackend {
   [[nodiscard]] virtual int restarts() const = 0;
 };
 
+/// Stop test of a loop that drives `backend` to `until_sec` by run_for().
+/// The simulator's clock is a sum of ticks that can stop a rounding error
+/// short of a horizon, and its engine ticks only while
+/// now + kRunForToleranceSec < target, so a step shorter than that is empty.
+inline constexpr double kRunForToleranceSec = 1e-12;
+[[nodiscard]] inline bool before_horizon(const StreamingBackend& backend,
+                                         double until_sec) {
+  return backend.now() + kRunForToleranceSec < until_sec;
+}
+
 /// Runs a job with one parallelism configuration and reports the QoS
 /// observed after the policy running time — the "run" of the paper's
 /// recommend-run-judge loop. Policies never talk to a backend directly,

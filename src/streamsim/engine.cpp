@@ -5,6 +5,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "runtime/backend.hpp"
+
 namespace autra::sim {
 
 namespace {
@@ -45,10 +47,7 @@ Engine::Engine(Topology topology, Cluster cluster, Parallelism parallelism,
       faults_(cluster_.num_machines()),
       network_(make_network()),
       exec_(params.threads),
-      proc_latency_(4096, params.seed),
-      event_latency_(4096, params.seed + 1),
-      interval_proc_latency_(1024, params.seed + 2),
-      interval_event_latency_(1024, params.seed + 3),
+      proc_latency_(params.seed),
       rng_(params.seed) {
   const std::size_t num_ops = topo_.num_operators();
   const std::size_t num_machines = cluster_.num_machines();
@@ -661,7 +660,7 @@ void Engine::tick() {
 }
 
 void Engine::run_until(double until_sec) {
-  while (now_ + kEps < until_sec) tick();
+  while (now_ + runtime::kRunForToleranceSec < until_sec) tick();
 }
 
 void Engine::suspend_until(double until_sec) {

@@ -272,7 +272,7 @@ class Engine {
   [[nodiscard]] const LatencyStats& processing_latency() const noexcept {
     return proc_latency_;
   }
-  [[nodiscard]] const LatencyStats& event_latency() const noexcept {
+  [[nodiscard]] const MassWeightedMean& event_latency() const noexcept {
     return event_latency_;
   }
 
@@ -430,8 +430,9 @@ class Engine {
   MetricIdSet metric_ids_;
   runtime::MetricSink* external_metrics_ = nullptr;
   MetricIdSet external_ids_;
+  /// Only proc_latency_'s percentiles are read (DESIGN.md §11).
   LatencyStats proc_latency_;
-  LatencyStats event_latency_;
+  MassWeightedMean event_latency_;
 
   double now_ = 0.0;
   double suspended_until_ = 0.0;
@@ -443,8 +444,8 @@ class Engine {
   double interval_consumed_ = 0.0;
   double interval_busy_core_seconds_ = 0.0;
   double interval_start_ = 0.0;
-  LatencyStats interval_proc_latency_;
-  LatencyStats interval_event_latency_;
+  MassWeightedMean interval_proc_latency_;
+  MassWeightedMean interval_event_latency_;
   bool started_ = false;
   std::mt19937_64 rng_;
 };

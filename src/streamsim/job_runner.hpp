@@ -75,10 +75,6 @@ class JobRunner {
  public:
   explicit JobRunner(JobSpec spec, RunnerParams params = {});
 
-  [[deprecated("use JobRunner(JobSpec, RunnerParams{...})")]]
-  JobRunner(JobSpec spec, double warmup_sec, double measure_sec = 60.0)
-      : JobRunner(std::move(spec), RunnerParams{warmup_sec, measure_sec}) {}
-
   /// Runs the job from a cold start with parallelism `p` and returns the
   /// post-warm-up window metrics. `seed_salt` perturbs measurement noise so
   /// repeated evaluations differ like real reruns do. Safe to call
@@ -138,13 +134,6 @@ class ScalingSession final : public runtime::StreamingBackend,
  public:
   ScalingSession(JobSpec spec, Parallelism initial,
                  SessionParams params = {});
-
-  [[deprecated("use ScalingSession(JobSpec, Parallelism, SessionParams{...})")]]
-  ScalingSession(JobSpec spec, Parallelism initial,
-                 double restart_downtime_sec, double hot_downtime_sec = 1.0)
-      : ScalingSession(std::move(spec), std::move(initial),
-                       SessionParams{restart_downtime_sec,
-                                     hot_downtime_sec}) {}
 
   /// Advances the session by `sec` simulated seconds.
   void run_for(double sec) override;

@@ -11,9 +11,6 @@ KafkaLog::KafkaLog(std::shared_ptr<const RateSchedule> schedule)
   }
 }
 
-KafkaLog::KafkaLog(std::unique_ptr<RateSchedule> schedule)
-    : KafkaLog(std::shared_ptr<const RateSchedule>(std::move(schedule))) {}
-
 void KafkaLog::produce(double t, double dt) {
   const double mass = schedule_->rate_at(t) * dt;
   if (mass <= 0.0) return;

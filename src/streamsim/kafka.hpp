@@ -4,7 +4,6 @@
 // and the production timestamps that define event-time latency.
 #pragma once
 
-#include <cstdint>
 #include <deque>
 #include <memory>
 
@@ -25,10 +24,6 @@ class KafkaLog {
   /// The log only reads the schedule, so it shares ownership with the
   /// JobSpec/workload that built it — no clone at engine construction.
   explicit KafkaLog(std::shared_ptr<const RateSchedule> schedule);
-
-  [[deprecated(
-      "pass a shared_ptr<const RateSchedule>; KafkaLog never mutates the "
-      "schedule")]] explicit KafkaLog(std::unique_ptr<RateSchedule> schedule);
 
   /// Appends `schedule.rate_at(t) * dt` records produced during [t, t+dt).
   void produce(double t, double dt);

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "arrival/arrival.hpp"
 #include "core/controller.hpp"
 #include "runtime/replay_backend.hpp"
 #include "streamsim/job_runner.hpp"
@@ -690,6 +691,20 @@ TEST(ControllerResilience, LagDrainIsInertByDefault) {
   EXPECT_TRUE(decisions.empty());
   EXPECT_EQ(controller.stats().failure_restarts, 1);
   EXPECT_EQ(controller.stats().lag_drains, 0);
+}
+
+TEST(Resilience, BaselineLoopStopsWhenClockEndsShortOfHorizon) {
+  // 0.2 s ticks sum to 599.99999999999943 on this job, a rounding error
+  // short of the horizon that no run_for() step can close.
+  sim::JobSpec spec = workloads::synthetic_chain(
+      8, arrival::make_arrival("diurnal", 200e3, 1, 600.0), 10.0);
+  spec.engine.tick_sec = 0.2;
+  fault::ResilienceOptions opt;
+  opt.horizon_sec = 600.0;
+  const fault::ResilienceReport r =
+      fault::run_resilience("threshold", spec, fault::FaultSchedule{}, opt);
+  EXPECT_GT(r.mean_throughput, 0.0);
+  EXPECT_EQ(r.failure_restarts, 0);
 }
 
 TEST(Resilience, RejectsUnknownPolicy) {

@@ -1,5 +1,9 @@
 // Unit tests for the latency accumulator and the metric time-series store.
+#include <array>
+#include <cstdint>
+#include <random>
 #include <sstream>
+#include <vector>
 
 #include "streamsim/latency.hpp"
 #include "streamsim/metrics.hpp"
@@ -9,63 +13,88 @@
 namespace autra::sim {
 namespace {
 
-TEST(LatencyStats, EmptyState) {
-  const LatencyStats s;
+// The mean-only questions, asked of both accumulators.
+template <typename T>
+class MeanAccumulator : public ::testing::Test {};
+
+using Accumulators = ::testing::Types<LatencyStats, MassWeightedMean>;
+TYPED_TEST_SUITE(MeanAccumulator, Accumulators);
+
+TYPED_TEST(MeanAccumulator, EmptyState) {
+  const TypeParam s;
   EXPECT_TRUE(s.empty());
   EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.quantile(0.5), 0.0);
+  EXPECT_DOUBLE_EQ(s.total_mass(), 0.0);
 }
 
-TEST(LatencyStats, WeightedMean) {
-  LatencyStats s;
+TYPED_TEST(MeanAccumulator, WeightedMean) {
+  TypeParam s;
   s.add(1.0, 3.0);
   s.add(2.0, 1.0);
   EXPECT_NEAR(s.mean(), 1.25, 1e-12);
   EXPECT_DOUBLE_EQ(s.total_mass(), 4.0);
 }
 
-TEST(LatencyStats, ZeroMassIgnored) {
-  LatencyStats s;
+TYPED_TEST(MeanAccumulator, ZeroMassIgnored) {
+  TypeParam s;
   s.add(5.0, 0.0);
   s.add(5.0, -1.0);
   EXPECT_TRUE(s.empty());
 }
 
-TEST(LatencyStats, QuantileBoundsAndMonotonicity) {
-  LatencyStats s(1024);
-  for (int i = 1; i <= 1000; ++i) s.add(static_cast<double>(i), 1.0);
-  const double q10 = s.quantile(0.1);
-  const double q50 = s.quantile(0.5);
-  const double q99 = s.quantile(0.99);
-  EXPECT_LE(q10, q50);
-  EXPECT_LE(q50, q99);
-  EXPECT_GE(q10, 1.0);
-  EXPECT_LE(q99, 1000.0);
-  EXPECT_NEAR(q50, 500.0, 120.0);  // Reservoir approximation.
-}
-
-TEST(LatencyStats, QuantileValidation) {
-  LatencyStats s;
-  s.add(1.0, 1.0);
-  EXPECT_THROW(s.quantile(-0.1), std::invalid_argument);
-  EXPECT_THROW(s.quantile(1.1), std::invalid_argument);
-}
-
-TEST(LatencyStats, Reset) {
-  LatencyStats s;
+TYPED_TEST(MeanAccumulator, Reset) {
+  TypeParam s;
   s.add(1.0, 5.0);
   s.reset();
   EXPECT_TRUE(s.empty());
   EXPECT_DOUBLE_EQ(s.mean(), 0.0);
 }
 
-TEST(LatencyStats, MergeCombinesMass) {
-  LatencyStats a, b;
-  a.add(1.0, 2.0);
-  b.add(3.0, 2.0);
-  a.merge(b);
-  EXPECT_NEAR(a.mean(), 2.0, 1e-12);
-  EXPECT_DOUBLE_EQ(a.total_mass(), 4.0);
+// The engine answers its mean-only gauges with MassWeightedMean where it
+// used to keep a LatencyStats: the sums must agree bit for bit.
+TEST(MassWeightedMean, SameStreamSameSumsAsLatencyStats) {
+  constexpr std::uint64_t kStreamSeed = 11;
+  std::mt19937_64 rng(kStreamSeed);
+  std::uniform_real_distribution<double> latency(0.0, 2.0);
+  std::uniform_real_distribution<double> mass(-1.0, 500.0);
+  LatencyStats full;
+  MassWeightedMean lean;
+  for (int i = 0; i < 20000; ++i) {
+    const double l = latency(rng);
+    const double m = mass(rng);
+    full.add(l, m);
+    lean.add(l, m);
+    if (i == 7000) {
+      full.reset();
+      lean.reset();
+    }
+  }
+  EXPECT_EQ(full.mean(), lean.mean());
+  EXPECT_EQ(full.total_mass(), lean.total_mass());
+}
+
+TEST(LatencyStats, QuantileBoundsAndMonotonicity) {
+  LatencyStats s;
+  EXPECT_EQ(s.quantiles(std::array{0.5, 0.99}),
+            (std::vector<double>{0.0, 0.0}));  // Empty.
+  for (int i = 1; i <= 1000; ++i) s.add(static_cast<double>(i), 1.0);
+  const std::vector<double> q = s.quantiles(std::array{0.1, 0.5, 0.99});
+  ASSERT_EQ(q.size(), 3u);
+  EXPECT_LE(q[0], q[1]);
+  EXPECT_LE(q[1], q[2]);
+  EXPECT_GE(q[0], 1.0);
+  EXPECT_LE(q[2], 1000.0);
+  EXPECT_NEAR(q[1], 500.0, 120.0);  // Reservoir approximation.
+  // Out of order, each q still gets its own answer.
+  EXPECT_EQ(s.quantiles(std::array{0.99, 0.1, 0.5}),
+            (std::vector<double>{q[2], q[0], q[1]}));
+}
+
+TEST(LatencyStats, QuantileValidation) {
+  LatencyStats s;
+  s.add(1.0, 1.0);
+  EXPECT_THROW((void)s.quantiles(std::array{-0.1}), std::invalid_argument);
+  EXPECT_THROW((void)s.quantiles(std::array{0.5, 1.1}), std::invalid_argument);
 }
 
 TEST(MetricsDb, RecordAndQueryWindow) {

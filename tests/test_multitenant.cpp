@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "arrival/arrival.hpp"
 #include "multitenant/shared_cluster.hpp"
 #include "runtime/tenant.hpp"
 #include "workloads/workloads.hpp"
@@ -172,32 +173,41 @@ TEST(SharedCluster, InterferenceBoardsSumOverOtherTenants) {
 
 // --- Single-tenant bit-identity --------------------------------------------
 
-TEST(SingleTenant, BitIdenticalToStandaloneScalingSession) {
-  const sim::ClusterSpec cluster = sim::uniform_cluster(3, 3);  // 24 slots
-  core::ControllerParams params = small_controller_params(400.0, 220000.0);
+/// One job run standalone and as the sole tenant of an always-admit
+/// SharedCluster on the same physical cluster.
+struct SoloRun {
+  sim::ClusterSpec cluster;
+  sim::JobSpec job;
+  Parallelism initial;
+  sim::SessionParams session;
+  core::ControllerParams controller;
+  double horizon_sec = 0.0;
+};
+
+void expect_solo_tenant_matches_standalone(const SoloRun& run) {
+  core::ControllerParams params = run.controller;
   params.tenant = TenantId{0};  // the id the harness will stamp
 
   // Standalone reference run.
-  sim::JobSpec ref_spec = chain_spec(220000.0);
-  ref_spec.cluster = cluster;
-  sim::ScalingSession ref_session(ref_spec, {1, 1, 1},
-                                  {.restart_downtime_sec = 10.0});
+  sim::JobSpec ref_spec = run.job;
+  ref_spec.cluster = run.cluster;
+  sim::ScalingSession ref_session(ref_spec, run.initial, run.session);
   core::AuTraScaleController ref_controller(
       ref_spec.topology, sim::make_trial_service(ref_spec), params);
   const std::vector<core::ControlDecision> ref_decisions =
-      ref_controller.run(ref_session, 240.0);
+      ref_controller.run(ref_session, run.horizon_sec);
 
   // The same job as the sole tenant of a SharedCluster, always-admit.
-  auto shared = std::make_shared<SharedCluster>(cluster);
+  auto shared = std::make_shared<SharedCluster>(run.cluster);
   MultiTenantHarness harness(shared);
   static_cast<void>(harness.add_tenant({
       .name = "solo",
-      .job = chain_spec(220000.0),
-      .initial = {1, 1, 1},
-      .session = {.restart_downtime_sec = 10.0},
+      .job = run.job,
+      .initial = run.initial,
+      .session = run.session,
       .controller = params,
   }));
-  harness.run(240.0);
+  harness.run(run.horizon_sec);
 
   ASSERT_FALSE(ref_decisions.empty());
   EXPECT_EQ(ref_decisions, harness.decisions(0));
@@ -216,6 +226,41 @@ TEST(SingleTenant, BitIdenticalToStandaloneScalingSession) {
   EXPECT_EQ(a.event_latency_ms, b.event_latency_ms);
   EXPECT_EQ(a.busy_cores, b.busy_cores);
   EXPECT_EQ(a.input_rate, b.input_rate);
+}
+
+TEST(SingleTenant, BitIdenticalToStandaloneScalingSession) {
+  {
+    SCOPED_TRACE("chain3 at a constant rate");
+    expect_solo_tenant_matches_standalone({
+        .cluster = sim::uniform_cluster(3, 3),  // 24 slots
+        .job = chain_spec(220000.0),
+        .initial = {1, 1, 1},
+        .session = {.restart_downtime_sec = 10.0},
+        .controller = small_controller_params(400.0, 220000.0),
+        .horizon_sec = 240.0,
+    });
+  }
+  {
+    // 0.2 s ticks sum to 599.99999999999943 here, a rounding error short
+    // of the horizon that no run_for() step can close: both loops must
+    // stop on their step's own test instead of spinning.
+    SCOPED_TRACE("chain8 under a diurnal rate, clock ends short of 600 s");
+    sim::JobSpec job = workloads::synthetic_chain(
+        8, arrival::make_arrival("diurnal", 200e3, 1, 600.0), 10.0);
+    job.engine.tick_sec = 0.2;
+    core::ControllerParams params = small_controller_params(60.0, 0.0);
+    params.steady.max_evaluations = 24;
+    params.policy_interval_sec = 60.0;
+    params.policy_running_time_sec = 120.0;
+    expect_solo_tenant_matches_standalone({
+        .cluster = sim::paper_cluster(),
+        .job = job,
+        .initial = Parallelism(8, 1),
+        .session = {},
+        .controller = params,
+        .horizon_sec = 600.0,
+    });
+  }
 }
 
 // --- Contention and admission under pressure --------------------------------

@@ -28,8 +28,11 @@ struct EngineCase {
   double rate;
 };
 
+// The workload is a std::string, not a const char*: gtest prints a pointer
+// inside a tuple with its address, which would put a per-run address into
+// every test name.
 class EngineInvariants
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 sim::JobSpec spec_for(const std::string& name, double rate) {
   auto schedule = std::make_shared<ConstantRate>(rate);
@@ -61,8 +64,7 @@ double default_rate(const std::string& name) {
 }
 
 TEST_P(EngineInvariants, ConservationAndBounds) {
-  const auto [workload, p] = GetParam();
-  const std::string name = workload;
+  const auto& [name, p] = GetParam();
   sim::JobRunner runner(spec_for(name, default_rate(name)),
       {.warmup_sec = 30.0, .measure_sec = 30.0});
   const JobMetrics m =
