@@ -11,6 +11,12 @@
 // Setup mirrors the paper: benefit models are pre-trained at 20k (Q5) and
 // 80k (Q11); the new rates are 30k and 100k; latency targets 500 ms and
 // 150 ms.
+//
+// `--json PATH` writes one row per query x method (iterations, parallelism,
+// latency percentiles, CPU, memory); every column is deterministic, and
+// BENCH_fig8.json is the committed baseline the zero-budget gate compares.
+#include <cstring>
+
 #include "baselines/ds2.hpp"
 #include "bench_util.hpp"
 #include "core/throughput_opt.hpp"
@@ -30,7 +36,9 @@ struct QueryCase {
 };
 
 sim::JobRunner make_runner(const QueryCase& q, double rate) {
-  return sim::JobRunner(q.make(std::make_shared<sim::ConstantRate>(rate)),
+  sim::JobSpec spec = q.make(std::make_shared<sim::ConstantRate>(rate));
+  spec.engine.latency_percentiles = true;  // Fig. 8(b) plots them
+  return sim::JobRunner(std::move(spec),
                         {.warmup_sec = 60.0, .measure_sec = 60.0});
 }
 
@@ -47,7 +55,14 @@ sim::Parallelism base_config(sim::JobRunner& runner, double target) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  std::string json_path;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
+      json_path = argv[i + 1];
+    }
+  }
+
   const QueryCase cases[] = {
       {"Query5", workloads::nexmark_q5, 20e3, 30e3, 500.0},
       {"Query11", workloads::nexmark_q11, 80e3, 100e3, 150.0},
@@ -56,6 +71,7 @@ int main() {
   double autra_total = 0.0, ds2_total = 0.0;
   double autra_cpu = 0.0, ds2_cpu = 0.0;
   double autra_mem = 0.0, ds2_mem = 0.0;
+  bench::JsonReport report("fig8_transfer");
 
   for (const QueryCase& q : cases) {
     bench::header((std::string("Fig. 8 — ") + q.name + ": rate " +
@@ -116,13 +132,35 @@ int main() {
     std::printf("\nFig. 8(b) — per-record latency of terminal configs [ms]\n");
     std::printf("  %-12s %8s %8s %8s %8s\n", "method", "p50", "p95", "p99",
                 "mean");
+    const sim::LatencyPercentiles at_lat =
+        at.best_metrics.latency_percentiles.value();
+    const sim::LatencyPercentiles dr_lat =
+        dr.final_metrics.latency_percentiles.value();
     std::printf("  %-12s %8.1f %8.1f %8.1f %8.1f\n", "AuTraScale",
-                at.best_metrics.latency_p50_ms, at.best_metrics.latency_p95_ms,
-                at.best_metrics.latency_p99_ms, at.best_metrics.latency_ms);
-    std::printf("  %-12s %8.1f %8.1f %8.1f %8.1f\n", "DS2",
-                dr.final_metrics.latency_p50_ms,
-                dr.final_metrics.latency_p95_ms,
-                dr.final_metrics.latency_p99_ms, dr.final_metrics.latency_ms);
+                at_lat.p50_ms, at_lat.p95_ms, at_lat.p99_ms,
+                at.best_metrics.latency_ms);
+    std::printf("  %-12s %8.1f %8.1f %8.1f %8.1f\n", "DS2", dr_lat.p50_ms,
+                dr_lat.p95_ms, dr_lat.p99_ms, dr.final_metrics.latency_ms);
+
+    const auto add_row = [&](const char* method, int iterations,
+                             const sim::Parallelism& config,
+                             const sim::JobMetrics& m,
+                             const sim::LatencyPercentiles& lat) {
+      report.row()
+          .str("query", q.name)
+          .str("method", method)
+          .num("iterations", iterations)
+          .num("total_parallelism", bench::total(config))
+          .num("p50_ms", lat.p50_ms)
+          .num("p95_ms", lat.p95_ms)
+          .num("p99_ms", lat.p99_ms)
+          .num("mean_ms", m.latency_ms)
+          .num("busy_cores", m.busy_cores)
+          .num("memory_mb", m.memory_mb);
+    };
+    add_row("AuTraScale", at.real_evaluations, at.best, at.best_metrics,
+            at_lat);
+    add_row("DS2", dr.iterations, dr.final_config, dr.final_metrics, dr_lat);
 
     // Fig. 8(c) inputs.
     autra_total += bench::total(at.best);
@@ -144,5 +182,10 @@ int main() {
   std::printf("  memory:      AuTraScale %.0f MB vs DS2 %.0f MB  ->  %.1f%% "
               "saved (paper: 6.2%%)\n",
               autra_mem, ds2_mem, 100.0 * (ds2_mem - autra_mem) / ds2_mem);
+
+  if (!json_path.empty()) {
+    if (!report.write(json_path)) return 1;
+    std::printf("wrote %s\n", json_path.c_str());
+  }
   return 0;
 }

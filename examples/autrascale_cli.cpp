@@ -231,7 +231,9 @@ int main(int argc, char** argv) {
   if (!opt.faults.empty()) return run_faulted(opt);
   const double target_thr = opt.throughput > 0.0 ? opt.throughput : opt.rate;
 
-  sim::JobRunner runner(make_spec(opt),
+  sim::JobSpec spec = make_spec(opt);
+  spec.engine.latency_percentiles = true;  // print_metrics reports p99
+  sim::JobRunner runner(std::move(spec),
       {.warmup_sec = 60.0, .measure_sec = 60.0});
   const core::Evaluator evaluate = core::make_runner_evaluator(runner);
   const auto& topology = runner.spec().topology;

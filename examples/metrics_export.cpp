@@ -16,6 +16,7 @@ int main(int argc, char** argv) {
   // Fig. 1 schedule: 100k rec/s, +50k every 5 minutes (compressed).
   sim::JobSpec spec = workloads::word_count(
       std::make_shared<sim::StaircaseRate>(100e3, 50e3, 300.0));
+  spec.engine.latency_percentiles = true;  // print_metrics reports p99
   sim::ScalingSession session(spec, sim::Parallelism(4, 2));
 
   // Saturation begins around 300k; scale out in place at t=14 min

@@ -19,6 +19,7 @@ namespace {
 autra::sim::JobRunner make_runner(double rate) {
   auto spec = autra::workloads::nexmark_q5(
       std::make_shared<autra::sim::ConstantRate>(rate));
+  spec.engine.latency_percentiles = true;  // print_metrics reports p99
   return autra::sim::JobRunner(
       std::move(spec), {.warmup_sec = 60.0, .measure_sec = 60.0});
 }

@@ -21,6 +21,7 @@ int main() {
   const double rate = 350000.0;
   sim::JobSpec spec =
       workloads::word_count(std::make_shared<sim::ConstantRate>(rate));
+  spec.engine.latency_percentiles = true;  // print_metrics reports p99
 
   // The evaluation harness: each measure() is one "run the job with this
   // configuration for the policy running time" trial.

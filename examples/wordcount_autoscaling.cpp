@@ -21,6 +21,7 @@ int main() {
     // 100k rec/s, +50k every 5 simulated minutes.
     sim::JobSpec spec = workloads::word_count(
         std::make_shared<sim::StaircaseRate>(100e3, 50e3, 300.0));
+    spec.engine.latency_percentiles = true;  // print_metrics reports p99
     sim::ScalingSession session(spec, sim::Parallelism(4, 2));
     for (int step = 0; step < 5; ++step) {
       session.reset_window();
@@ -41,6 +42,7 @@ int main() {
   {
     sim::JobSpec spec = workloads::word_count(
         std::make_shared<sim::StaircaseRate>(100e3, 50e3, 300.0));
+    spec.engine.latency_percentiles = true;  // print_metrics reports p99
     sim::ScalingSession session(spec, sim::Parallelism(4, 2));
 
     core::ControllerParams params;

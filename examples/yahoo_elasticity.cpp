@@ -66,8 +66,10 @@ int main() {
   // At 60k input the Redis cap makes every latency target unreachable (the
   // backlog grows forever); the QoS experiment therefore runs at the 34k
   // target rate, which the capped job can sustain.
-  sim::JobRunner qos_runner(
-      workloads::yahoo_streaming(std::make_shared<sim::ConstantRate>(34000.0)),
+  sim::JobSpec qos_spec =
+      workloads::yahoo_streaming(std::make_shared<sim::ConstantRate>(34000.0));
+  qos_spec.engine.latency_percentiles = true;  // print_metrics reports p99
+  sim::JobRunner qos_runner(std::move(qos_spec),
       {.warmup_sec = 60.0, .measure_sec = 60.0});
   const core::Evaluator qos_eval = core::make_runner_evaluator(qos_runner);
   const core::ThroughputOptimizer qos_opt(

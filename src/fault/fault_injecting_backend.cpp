@@ -18,11 +18,28 @@ FaultInjectingBackend::FaultInjectingBackend(runtime::StreamingBackend& inner,
     : inner_(inner), schedule_(std::move(schedule)) {
   mirror_metrics_ = schedule_.has_metric_faults();
   failure_budget_.reserve(schedule_.events().size());
+  std::vector<MetricWindow> dropouts;
   for (const FaultEvent& e : schedule_.events()) {
     failure_budget_.push_back(
         e.kind == FaultKind::kRescaleFailure && e.magnitude > 0.0
             ? static_cast<int>(e.magnitude)
             : -1);
+    if (e.kind == FaultKind::kMetricDropout) {
+      dropouts.push_back({e.at, e.end()});
+    } else if (e.kind == FaultKind::kMetricDelay) {
+      delays_.push_back({e.at, e.end(), e.magnitude});
+    }
+  }
+  std::sort(dropouts.begin(), dropouts.end(),
+            [](const MetricWindow& a, const MetricWindow& b) {
+              return a.at < b.at;
+            });
+  for (const MetricWindow& w : dropouts) {
+    if (!dropouts_.empty() && w.at <= dropouts_.back().end) {
+      dropouts_.back().end = std::max(dropouts_.back().end, w.end);
+    } else {
+      dropouts_.push_back(w);
+    }
   }
   deliver_host_faults();
   if (mirror_metrics_) sync_history();
@@ -66,21 +83,16 @@ void FaultInjectingBackend::deliver_host_faults() {
   }
 }
 
-bool FaultInjectingBackend::dropped_at(double t) const noexcept {
-  for (const FaultEvent& e : schedule_.events()) {
-    if (e.kind == FaultKind::kMetricDropout && t >= e.at && t < e.end()) {
-      return true;
-    }
-  }
-  return false;
+bool FaultInjectingBackend::dropped_at(double t,
+                                       std::size_t& window) const noexcept {
+  while (window < dropouts_.size() && dropouts_[window].end <= t) ++window;
+  return window < dropouts_.size() && t >= dropouts_[window].at;
 }
 
 double FaultInjectingBackend::reveal_time(double t) const noexcept {
   double reveal = t;
-  for (const FaultEvent& e : schedule_.events()) {
-    if (e.kind == FaultKind::kMetricDelay && t >= e.at && t < e.end()) {
-      reveal = std::max(reveal, t + e.magnitude);
-    }
+  for (const MetricWindow& w : delays_) {
+    if (t >= w.at && t < w.end) reveal = std::max(reveal, t + w.delay_sec);
   }
   return reveal;
 }
@@ -93,6 +105,7 @@ void FaultInjectingBackend::sync_history() {
     const runtime::MetricId id(s);
     if (s >= cursor_.size()) {
       cursor_.push_back(0);
+      dropout_cursor_.push_back(0);
       mirror_ids_.push_back(mirror_.resolve(registry.name(id)));
     }
     const runtime::MetricStore::SeriesView view = source.series(id);
@@ -102,7 +115,7 @@ void FaultInjectingBackend::sync_history() {
     // metrics pipeline. Dropped points are skipped for good.
     while (cur < view.times.size()) {
       const double t = view.times[cur];
-      if (dropped_at(t)) {
+      if (dropped_at(t, dropout_cursor_[s])) {
         ++cur;
         continue;
       }

@@ -60,21 +60,40 @@ class FaultInjectingBackend final : public runtime::StreamingBackend {
   }
 
  private:
+  /// A metric-fault window [at, end); `delay_sec` is how late a delay
+  /// window's points arrive.
+  struct MetricWindow {
+    double at = 0.0;
+    double end = 0.0;
+    double delay_sec = 0.0;
+  };
+
   void deliver_host_faults();
   void sync_history();
-  [[nodiscard]] bool dropped_at(double t) const noexcept;
+  /// Whether a point at `t` is dropped. `window` is the series' dropout
+  /// cursor: series times never decrease, so windows it has passed can
+  /// hold no later point.
+  [[nodiscard]] bool dropped_at(double t, std::size_t& window) const noexcept;
   [[nodiscard]] double reveal_time(double t) const noexcept;
 
   runtime::StreamingBackend& inner_;
   FaultSchedule schedule_;
   bool mirror_metrics_ = false;
 
+  /// The schedule's metric faults, split out once so the per-point scans
+  /// walk no other event kind: dropout windows merged into disjoint
+  /// ascending ones (a point is dropped iff it lies in their union), and
+  /// delay windows in schedule order.
+  std::vector<MetricWindow> dropouts_;
+  std::vector<MetricWindow> delays_;
+
   /// Faulted view of the inner history (only maintained when the schedule
   /// contains metric faults).
   runtime::MetricStore mirror_;
-  /// Per inner series: next point index to consider, and the id of the
-  /// same series in mirror_.
+  /// Per inner series: next point index to consider, first dropout window
+  /// that may still hold it, and the id of the same series in mirror_.
   std::vector<std::size_t> cursor_;
+  std::vector<std::size_t> dropout_cursor_;
   std::vector<runtime::MetricId> mirror_ids_;
 
   /// Remaining failures per kRescaleFailure event (-1 = unlimited within

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 namespace autra::runtime {
@@ -34,15 +35,22 @@ struct OperatorRates {
   int parallelism = 0;
 };
 
+/// Per-record processing-latency percentiles of one window (Fig. 8(b)).
+struct LatencyPercentiles {
+  double p50_ms = 0.0;
+  double p95_ms = 0.0;
+  double p99_ms = 0.0;
+};
+
 /// QoS snapshot of one measurement window.
 struct JobMetrics {
   Parallelism parallelism;
   double input_rate = 0.0;      ///< External production rate during window.
   double throughput = 0.0;      ///< Records/s consumed from the source log.
   double latency_ms = 0.0;      ///< Mean processing latency (Flink latency).
-  double latency_p50_ms = 0.0;
-  double latency_p95_ms = 0.0;
-  double latency_p99_ms = 0.0;
+  /// Measured only when the backend was asked for them (the simulator's
+  /// EngineParams::latency_percentiles); no policy reads them.
+  std::optional<LatencyPercentiles> latency_percentiles;
   double event_latency_ms = 0.0;  ///< Mean event-time latency (incl. lag).
   double kafka_lag = 0.0;         ///< Records pending at window end.
   double lag_growth_per_sec = 0.0;

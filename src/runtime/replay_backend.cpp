@@ -73,9 +73,6 @@ JobMetrics ReplayBackend::window_metrics() const {
   m.input_rate = mean_of(mn::kInputRate);
   m.throughput = mean_of(mn::kThroughput);
   m.latency_ms = mean_of(mn::kLatencyMean) * 1e3;
-  m.latency_p50_ms = m.latency_ms;
-  m.latency_p95_ms = m.latency_ms;
-  m.latency_p99_ms = m.latency_ms;
   m.event_latency_ms = mean_of(mn::kEventLatencyMean) * 1e3;
   m.busy_cores = mean_of(mn::kBusyCores);
 

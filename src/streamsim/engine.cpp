@@ -47,8 +47,8 @@ Engine::Engine(Topology topology, Cluster cluster, Parallelism parallelism,
       faults_(cluster_.num_machines()),
       network_(make_network()),
       exec_(params.threads),
-      proc_latency_(params.seed),
       rng_(params.seed) {
+  if (params_.latency_percentiles) proc_distribution_.emplace(params_.seed);
   const std::size_t num_ops = topo_.num_operators();
   const std::size_t num_machines = cluster_.num_machines();
 
@@ -59,6 +59,7 @@ Engine::Engine(Topology topology, Cluster cluster, Parallelism parallelism,
   smoothed_busy_.assign(num_ops, 0.0);
   sb_snapshot_.assign(num_ops, 0.0);
   base_rate_.assign(num_ops, 0.0);
+  service_sec_.assign(num_ops, 0.0);
   hot_share_.assign(num_ops, 0.0);
   capacity_.assign(num_ops, 0.0);
   hot_capacity_.assign(num_ops, 0.0);
@@ -80,8 +81,11 @@ Engine::Engine(Topology topology, Cluster cluster, Parallelism parallelism,
   for (std::size_t i = 0; i < num_ops; ++i) {
     const OperatorSpec& spec = topo_.op(i);
     const int k = parallelism_[i];
-    base_rate_[i] =
-        1e6 / (spec.total_cost_us() * interference_.coordination_factor(k));
+    // Parallelism and params are fixed for the engine's lifetime (a rescale
+    // builds a new engine), so the coordination pow is paid once here.
+    const double coord = interference_.coordination_factor(k);
+    base_rate_[i] = 1e6 / (spec.total_cost_us() * coord);
+    service_sec_[i] = spec.total_cost_us() * coord / 1e6;
     if (spec.key_skew > 0.0 && k > 1) {
       hot_share_[i] =
           (1.0 + spec.key_skew) / (static_cast<double>(k) + spec.key_skew);
@@ -121,6 +125,7 @@ Engine::Engine(Topology topology, Cluster cluster, Parallelism parallelism,
   interval_start_ = now_;
   next_metric_time_ = now_ + params_.metric_interval_sec;
   metric_ids_ = resolve_metric_ids(metrics_);
+  latency_floor_sec_ = compute_latency_floor_sec();
 }
 
 Engine::MetricIdSet Engine::resolve_metric_ids(
@@ -260,9 +265,10 @@ void Engine::add_external_service(ExternalService service) {
   if (!services_.emplace(name, std::move(service)).second) {
     throw std::invalid_argument("Engine: duplicate external service " + name);
   }
+  latency_floor_sec_ = compute_latency_floor_sec();
 }
 
-double Engine::latency_floor_sec() const noexcept {
+double Engine::compute_latency_floor_sec() const {
   // Every non-source operator is one network hop whose cost grows with the
   // receiver's parallelism (keyed shuffle fan-out): Obs. 2.2's
   // communication cost.
@@ -288,10 +294,8 @@ double Engine::congestion_delay_sec() const noexcept {
   double total = 0.0;
   for (std::size_t i = 0; i < topo_.num_operators(); ++i) {
     const double rho = std::clamp(smoothed_busy_[i], 0.0, 0.995);
-    const double coord = interference_.coordination_factor(parallelism_[i]);
-    const double service_sec = topo_.op(i).total_cost_us() * coord / 1e6;
-    const double w = params_.congestion_burst_records * service_sec * rho /
-                     (1.0 - rho);
+    const double w = params_.congestion_burst_records * service_sec_[i] *
+                     rho / (1.0 - rho);
     total += std::min(w, params_.congestion_cap_sec);
   }
   return total;
@@ -514,13 +518,14 @@ void Engine::run_operator(std::size_t i, double t, double dt, bool suspended,
   }
 
   // --- Move cohorts ----------------------------------------------------
-  std::vector<QueueCohort> taken;
+  taken_.clear();
   if (spec.kind == OperatorKind::kSource) {
-    for (const LogCohort& c : kafka_->consume(processed)) {
-      taken.push_back({c.mass, c.produced_time, t + dt});
+    kafka_->consume(processed, log_taken_);
+    for (const LogCohort& c : log_taken_) {
+      taken_.push_back({c.mass, c.produced_time, t + dt});
     }
     double ingested = 0.0;
-    for (const QueueCohort& c : taken) ingested += c.mass;
+    for (const QueueCohort& c : taken_) ingested += c.mass;
     st.counters.records_in += ingested;
     st.interval.records_in += ingested;
     window_consumed_ += ingested;
@@ -532,10 +537,10 @@ void Engine::run_operator(std::size_t i, double t, double dt, bool suspended,
       if (head.mass <= remaining + kEps) {
         remaining -= head.mass;
         queue_mass_[i] -= head.mass;
-        taken.push_back(head);
+        taken_.push_back(head);
         st.queue.pop_front();
       } else {
-        taken.push_back({remaining, head.produced_time, head.ingested_time});
+        taken_.push_back({remaining, head.produced_time, head.ingested_time});
         head.mass -= remaining;
         queue_mass_[i] -= remaining;
         remaining = 0.0;
@@ -545,12 +550,12 @@ void Engine::run_operator(std::size_t i, double t, double dt, bool suspended,
   }
 
   double actually_processed = 0.0;
-  for (const QueueCohort& c : taken) actually_processed += c.mass;
+  for (const QueueCohort& c : taken_) actually_processed += c.mass;
 
   // --- Emit or complete -------------------------------------------------
   const bool terminal = down.empty();
   double emitted = 0.0;
-  for (const QueueCohort& c : taken) {
+  for (const QueueCohort& c : taken_) {
     if (terminal) {
       const double done = t + dt;
       // Mean-one lognormal dispersion of the processing latency; the
@@ -565,6 +570,7 @@ void Engine::run_operator(std::size_t i, double t, double dt, bool suspended,
       const double proc = (done - c.ingested_time + floor) * jitter;
       const double pending = c.ingested_time - c.produced_time;
       proc_latency_.add(proc, c.mass);
+      if (proc_distribution_) proc_distribution_->add(proc, c.mass);
       event_latency_.add(pending + proc, c.mass);
       interval_proc_latency_.add(proc, c.mass);
       interval_event_latency_.add(pending + proc, c.mass);
@@ -618,7 +624,7 @@ void Engine::tick() {
   double tick_busy_core_seconds = 0.0;
   // Constant across operators within one tick (depends on configuration
   // and smoothed utilisation, both fixed during the tick).
-  const double floor = latency_floor_sec() + congestion_delay_sec();
+  const double floor = latency_floor_sec_ + congestion_delay_sec();
 
   const bool tick_all = params_.core == EngineCore::kTickDriven;
   ++epoch_stats_.ticks;
@@ -699,10 +705,9 @@ OperatorRates Engine::rates_from(std::size_t op,
     // Eq. 2: records / busy time, averaged over instances.
     r.true_rate_per_instance = c.processed / c.busy_time;
   } else {
-    // Idle operator: its true rate is its potential rate. Estimate from the
-    // base cost and coordination factor (no contention while idle).
-    const double coord = interference_.coordination_factor(k);
-    r.true_rate_per_instance = 1e6 / (topo_.op(op).total_cost_us() * coord);
+    // Idle operator: its true rate is its potential rate, the base cost
+    // and coordination factor (no contention while idle).
+    r.true_rate_per_instance = base_rate_[op];
   }
   return r;
 }
@@ -725,6 +730,7 @@ double Engine::busy_cores() const noexcept {
 void Engine::reset_counters() {
   for (OperatorState& st : state_) st.counters = {};
   proc_latency_.reset();
+  if (proc_distribution_) proc_distribution_->reset();
   event_latency_.reset();
   window_start_ = now_;
   window_consumed_ = 0.0;

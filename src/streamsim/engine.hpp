@@ -34,6 +34,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -90,6 +91,12 @@ struct EngineParams {
   /// right-skewed per-record distributions real pipelines show
   /// (Fig. 8(b) plots their percentiles).
   double latency_jitter_sigma = 0.25;
+  /// Whether snapshots carry per-record latency percentiles. On, the
+  /// engine feeds a seeded LatencyStats reservoir next to the mean; off
+  /// (the default: no policy reads them), it builds none and
+  /// JobMetrics::latency_percentiles stays empty. Either way every other
+  /// observable is bit-identical.
+  bool latency_percentiles = false;
   /// How often gauges are written to the MetricsDb.
   double metric_interval_sec = 1.0;
   /// Multiplicative Gaussian noise applied to *recorded* metrics.
@@ -269,8 +276,14 @@ class Engine {
   }
 
   /// Latency accumulated since the last reset_counters().
-  [[nodiscard]] const LatencyStats& processing_latency() const noexcept {
+  [[nodiscard]] const MassWeightedMean& processing_latency() const noexcept {
     return proc_latency_;
+  }
+  /// The processing-latency distribution behind the percentiles; nullptr
+  /// unless EngineParams::latency_percentiles is set.
+  [[nodiscard]] const LatencyStats* processing_latency_distribution()
+      const noexcept {
+    return proc_distribution_ ? &*proc_distribution_ : nullptr;
   }
   [[nodiscard]] const MassWeightedMean& event_latency() const noexcept {
     return event_latency_;
@@ -294,7 +307,9 @@ class Engine {
   [[nodiscard]] double memory_mb() const noexcept;
 
   /// Latency floor of the current configuration (network/buffer cost), sec.
-  [[nodiscard]] double latency_floor_sec() const noexcept;
+  [[nodiscard]] double latency_floor_sec() const noexcept {
+    return latency_floor_sec_;
+  }
 
   /// Current summed per-operator congestion delay (burst queueing), sec.
   [[nodiscard]] double congestion_delay_sec() const noexcept;
@@ -332,6 +347,9 @@ class Engine {
   /// placement) and builds the network model. Called from the init list;
   /// only members declared above network_ may be touched.
   [[nodiscard]] NetworkModel make_network() const;
+  /// The latency floor from configuration and registered services; cached
+  /// by the constructor and add_external_service (nothing else moves it).
+  [[nodiscard]] double compute_latency_floor_sec() const;
 
   [[nodiscard]] OperatorRates rates_from(std::size_t op,
                                          const OperatorCounters& c) const;
@@ -405,6 +423,7 @@ class Engine {
   std::vector<double> smoothed_busy_;  ///< EMA busy fraction for contention.
   std::vector<double> sb_snapshot_;    ///< Busy fractions at the last fold.
   std::vector<double> base_rate_;      ///< 1e6 / (cost * coordination).
+  std::vector<double> service_sec_;    ///< cost * coordination / 1e6.
   std::vector<double> hot_share_;      ///< Key-skew hot share, 0 = no skew.
   std::vector<double> capacity_;       ///< Cached records per tick.
   std::vector<double> hot_capacity_;   ///< Cached skew hot-instance cap.
@@ -421,6 +440,10 @@ class Engine {
   std::vector<std::pair<std::uint32_t, std::uint32_t>> all_chunks_;
   std::vector<std::size_t> dirty_ops_;  ///< Scratch for partial refresh.
   std::size_t hot_machine_ = 0;         ///< Placement of instance 0.
+  /// run_operator's cohort scratch, reused so a tick does not allocate.
+  std::vector<QueueCohort> taken_;
+  std::vector<LogCohort> log_taken_;
+  double latency_floor_sec_ = 0.0;
 
   bool caches_primed_ = false;
   bool sb_drift_ = false;
@@ -430,8 +453,9 @@ class Engine {
   MetricIdSet metric_ids_;
   runtime::MetricSink* external_metrics_ = nullptr;
   MetricIdSet external_ids_;
-  /// Only proc_latency_'s percentiles are read (DESIGN.md §11).
-  LatencyStats proc_latency_;
+  MassWeightedMean proc_latency_;
+  /// Engaged only with EngineParams::latency_percentiles (DESIGN.md §11).
+  std::optional<LatencyStats> proc_distribution_;
   MassWeightedMean event_latency_;
 
   double now_ = 0.0;

@@ -41,12 +41,13 @@ JobMetrics snapshot(const Engine& engine) {
   m.parallelism = engine.parallelism();
   m.throughput = engine.throughput();
   m.input_rate = engine.kafka().rate_at(engine.now());
-  const LatencyStats& lat = engine.processing_latency();
-  m.latency_ms = lat.mean() * 1000.0;
-  const std::vector<double> q = lat.quantiles(std::array{0.5, 0.95, 0.99});
-  m.latency_p50_ms = q[0] * 1000.0;
-  m.latency_p95_ms = q[1] * 1000.0;
-  m.latency_p99_ms = q[2] * 1000.0;
+  m.latency_ms = engine.processing_latency().mean() * 1000.0;
+  if (const LatencyStats* dist = engine.processing_latency_distribution()) {
+    const std::vector<double> q = dist->quantiles(std::array{0.5, 0.95, 0.99});
+    m.latency_percentiles = LatencyPercentiles{.p50_ms = q[0] * 1000.0,
+                                               .p95_ms = q[1] * 1000.0,
+                                               .p99_ms = q[2] * 1000.0};
+  }
   m.event_latency_ms = engine.event_latency().mean() * 1000.0;
   m.kafka_lag = engine.kafka().lag();
   m.lag_growth_per_sec = engine.lag_growth_per_sec();

@@ -49,6 +49,7 @@ struct JobSpec {
 
 /// QoS snapshot of one measurement window (backend-neutral runtime type).
 using JobMetrics = runtime::JobMetrics;
+using LatencyPercentiles = runtime::LatencyPercentiles;
 
 /// Builds an engine for a spec (shared by JobRunner and ScalingSession).
 [[nodiscard]] std::unique_ptr<Engine> make_engine(const JobSpec& spec,
@@ -56,7 +57,8 @@ using JobMetrics = runtime::JobMetrics;
                                                   double start_time = 0.0,
                                                   std::uint64_t seed_salt = 0);
 
-/// Collects a JobMetrics snapshot from an engine's current window.
+/// Collects a JobMetrics snapshot from an engine's current window; the
+/// latency percentiles only when the engine keeps their distribution.
 [[nodiscard]] JobMetrics snapshot(const Engine& engine);
 
 /// Evaluation windows of a fresh-start JobRunner measurement (aggregate

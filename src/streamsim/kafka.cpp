@@ -20,8 +20,8 @@ void KafkaLog::produce(double t, double dt) {
   total_produced_ += mass;
 }
 
-std::vector<LogCohort> KafkaLog::consume(double want) {
-  std::vector<LogCohort> taken;
+void KafkaLog::consume(double want, std::vector<LogCohort>& taken) {
+  taken.clear();
   while (want > 1e-12 && !cohorts_.empty()) {
     LogCohort& head = cohorts_.front();
     if (head.mass <= want) {
@@ -39,7 +39,6 @@ std::vector<LogCohort> KafkaLog::consume(double want) {
     }
   }
   if (lag_ < 0.0) lag_ = 0.0;
-  return taken;
 }
 
 void KafkaLog::clear() noexcept {

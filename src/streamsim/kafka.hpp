@@ -6,6 +6,7 @@
 
 #include <deque>
 #include <memory>
+#include <vector>
 
 #include "streamsim/rates.hpp"
 
@@ -28,9 +29,10 @@ class KafkaLog {
   /// Appends `schedule.rate_at(t) * dt` records produced during [t, t+dt).
   void produce(double t, double dt);
 
-  /// Removes up to `want` records from the head of the log. Returns the
-  /// cohorts taken (their total mass is <= want).
-  [[nodiscard]] std::vector<LogCohort> consume(double want);
+  /// Removes up to `want` records from the head of the log. Replaces the
+  /// contents of `taken` with the cohorts taken (their total mass is
+  /// <= want); a caller that reuses one vector consumes without allocating.
+  void consume(double want, std::vector<LogCohort>& taken);
 
   /// Unconsumed records (the Kafka consumer lag metric).
   [[nodiscard]] double lag() const noexcept { return lag_; }

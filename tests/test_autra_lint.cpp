@@ -77,6 +77,10 @@ struct RulePair {
   const char* also;
 };
 
+// gtest would print the parameter as raw bytes (pointers included) into
+// every test name; print the rule instead, so the names are stable.
+void PrintTo(const RulePair& p, std::ostream* os) { *os << p.rule; }
+
 class FixtureCorpus : public ::testing::TestWithParam<RulePair> {};
 
 TEST_P(FixtureCorpus, GoodFixtureIsCleanBadFixtureFiresItsRule) {
@@ -148,6 +152,8 @@ struct CrossFileCase {
   const char* bad;
   const char* good;
 };
+
+void PrintTo(const CrossFileCase& c, std::ostream* os) { *os << c.tag; }
 
 class CrossFileD2 : public ::testing::TestWithParam<CrossFileCase> {};
 

@@ -175,6 +175,8 @@ TEST(ReplayBackend, ReplaysTraceFaithfully) {
   const runtime::JobMetrics m = replay.window_metrics();
   EXPECT_NEAR(m.throughput, 30000.0, 1500.0);
   EXPECT_GT(m.latency_ms, 0.0);
+  // A trace records the mean only; the replay does not invent percentiles.
+  EXPECT_FALSE(m.latency_percentiles.has_value());
 }
 
 TEST(ReplayBackend, HalfWayRevealsOnlyPastPoints) {

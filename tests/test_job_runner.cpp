@@ -39,14 +39,17 @@ TEST(JobRunner, Validation) {
 }
 
 TEST(JobRunner, MeasureReturnsConsistentSnapshot) {
-  JobRunner runner(small_job(30000.0),
+  JobSpec spec = small_job(30000.0);
+  spec.engine.latency_percentiles = true;
+  JobRunner runner(std::move(spec),
       {.warmup_sec = 20.0, .measure_sec = 30.0});
   const JobMetrics m = runner.measure({1, 1, 1});
   EXPECT_EQ(m.parallelism, (Parallelism{1, 1, 1}));
   EXPECT_NEAR(m.throughput, 30000.0, 600.0);
   EXPECT_DOUBLE_EQ(m.input_rate, 30000.0);
   EXPECT_GT(m.latency_ms, 0.0);
-  EXPECT_LE(m.latency_p50_ms, m.latency_p99_ms);
+  ASSERT_TRUE(m.latency_percentiles.has_value());
+  EXPECT_LE(m.latency_percentiles->p50_ms, m.latency_percentiles->p99_ms);
   EXPECT_GE(m.event_latency_ms, m.latency_ms - 1.0);
   EXPECT_EQ(m.operators.size(), 3u);
   EXPECT_GT(m.memory_mb, 0.0);
@@ -82,6 +85,7 @@ TEST(JobRunner, EvaluatorSaltsDecorrelateMetricNoise) {
   // is what keeps the GP's noise handling honest.
   JobSpec spec = small_job(30000.0);
   spec.engine.measurement_noise = 0.05;
+  spec.engine.latency_percentiles = true;
   JobRunner runner(std::move(spec),
       {.warmup_sec = 10.0, .measure_sec = 20.0});
   const autra::core::Evaluator eval =
@@ -90,7 +94,50 @@ TEST(JobRunner, EvaluatorSaltsDecorrelateMetricNoise) {
   const JobMetrics b = eval({1, 1, 1});
   EXPECT_EQ(runner.evaluations(), 2);
   // Latency carries per-cohort jitter resampled per run.
-  EXPECT_NE(a.latency_p99_ms, b.latency_p99_ms);
+  ASSERT_TRUE(a.latency_percentiles.has_value());
+  ASSERT_TRUE(b.latency_percentiles.has_value());
+  EXPECT_NE(a.latency_percentiles->p99_ms, b.latency_percentiles->p99_ms);
+}
+
+TEST(JobRunner, PercentilesOnlyOnRequest) {
+  // The flag adds the percentiles and moves nothing else: the reservoir
+  // has its own generator, so the engine's noise and jitter draws, and
+  // every other observable, are bit-identical with it off or on.
+  JobSpec spec = small_job(30000.0);
+  spec.engine.measurement_noise = 0.05;
+  JobRunner off(spec, {.warmup_sec = 10.0, .measure_sec = 20.0});
+  spec.engine.latency_percentiles = true;
+  JobRunner on(spec, {.warmup_sec = 10.0, .measure_sec = 20.0});
+  const JobMetrics a = off.measure({1, 2, 1}, 3);
+  const JobMetrics b = on.measure({1, 2, 1}, 3);
+
+  EXPECT_FALSE(a.latency_percentiles.has_value());
+  ASSERT_TRUE(b.latency_percentiles.has_value());
+  EXPECT_GT(b.latency_percentiles->p50_ms, 0.0);
+  EXPECT_LE(b.latency_percentiles->p50_ms, b.latency_percentiles->p95_ms);
+  EXPECT_LE(b.latency_percentiles->p95_ms, b.latency_percentiles->p99_ms);
+
+  EXPECT_EQ(a.parallelism, b.parallelism);
+  EXPECT_EQ(a.input_rate, b.input_rate);
+  EXPECT_EQ(a.throughput, b.throughput);
+  EXPECT_EQ(a.latency_ms, b.latency_ms);
+  EXPECT_EQ(a.event_latency_ms, b.event_latency_ms);
+  EXPECT_EQ(a.kafka_lag, b.kafka_lag);
+  EXPECT_EQ(a.lag_growth_per_sec, b.lag_growth_per_sec);
+  EXPECT_EQ(a.busy_cores, b.busy_cores);
+  EXPECT_EQ(a.memory_mb, b.memory_mb);
+  ASSERT_EQ(a.operators.size(), b.operators.size());
+  for (std::size_t i = 0; i < a.operators.size(); ++i) {
+    const OperatorRates& x = a.operators[i];
+    const OperatorRates& y = b.operators[i];
+    EXPECT_EQ(x.true_rate_per_instance, y.true_rate_per_instance) << i;
+    EXPECT_EQ(x.observed_rate_per_instance, y.observed_rate_per_instance)
+        << i;
+    EXPECT_EQ(x.total_input_rate, y.total_input_rate) << i;
+    EXPECT_EQ(x.total_output_rate, y.total_output_rate) << i;
+    EXPECT_EQ(x.queue_length, y.queue_length) << i;
+    EXPECT_EQ(x.parallelism, y.parallelism) << i;
+  }
 }
 
 TEST(JobRunner, MaxParallelismComesFromCluster) {

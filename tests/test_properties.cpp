@@ -65,7 +65,9 @@ double default_rate(const std::string& name) {
 
 TEST_P(EngineInvariants, ConservationAndBounds) {
   const auto& [name, p] = GetParam();
-  sim::JobRunner runner(spec_for(name, default_rate(name)),
+  sim::JobSpec spec = spec_for(name, default_rate(name));
+  spec.engine.latency_percentiles = true;
+  sim::JobRunner runner(std::move(spec),
       {.warmup_sec = 30.0, .measure_sec = 30.0});
   const JobMetrics m =
       runner.measure(Parallelism(runner.num_operators(), p));
@@ -76,10 +78,12 @@ TEST_P(EngineInvariants, ConservationAndBounds) {
   EXPECT_GE(m.throughput, 0.0);
 
   // Latency percentiles are ordered and positive once traffic flowed.
+  ASSERT_TRUE(m.latency_percentiles.has_value());
   if (m.throughput > 0.0) {
+    const sim::LatencyPercentiles& lat = *m.latency_percentiles;
     EXPECT_GT(m.latency_ms, 0.0);
-    EXPECT_LE(m.latency_p50_ms, m.latency_p95_ms + 1e-9);
-    EXPECT_LE(m.latency_p95_ms, m.latency_p99_ms + 1e-9);
+    EXPECT_LE(lat.p50_ms, lat.p95_ms + 1e-9);
+    EXPECT_LE(lat.p95_ms, lat.p99_ms + 1e-9);
     EXPECT_GE(m.event_latency_ms, m.latency_ms - 1.0);
   }
 

@@ -70,7 +70,8 @@ TEST(KafkaLog, ProduceAccumulatesLag) {
 TEST(KafkaLog, ConsumePartialCohort) {
   KafkaLog log(std::make_shared<ConstantRate>(1000.0));
   log.produce(0.0, 1.0);
-  const auto taken = log.consume(300.0);
+  std::vector<LogCohort> taken;
+  log.consume(300.0, taken);
   ASSERT_EQ(taken.size(), 1u);
   EXPECT_DOUBLE_EQ(taken.front().mass, 300.0);
   EXPECT_DOUBLE_EQ(taken.front().produced_time, 0.5);
@@ -82,7 +83,8 @@ TEST(KafkaLog, ConsumeSpansCohortsFifo) {
   KafkaLog log(std::make_shared<ConstantRate>(100.0));
   log.produce(0.0, 1.0);   // 100 @ t=0.5
   log.produce(1.0, 1.0);   // 100 @ t=1.5
-  const auto taken = log.consume(150.0);
+  std::vector<LogCohort> taken;
+  log.consume(150.0, taken);
   ASSERT_EQ(taken.size(), 2u);
   EXPECT_DOUBLE_EQ(taken[0].mass, 100.0);
   EXPECT_DOUBLE_EQ(taken[0].produced_time, 0.5);
@@ -94,12 +96,14 @@ TEST(KafkaLog, ConsumeSpansCohortsFifo) {
 TEST(KafkaLog, ConsumeMoreThanAvailable) {
   KafkaLog log(std::make_shared<ConstantRate>(100.0));
   log.produce(0.0, 1.0);
-  const auto taken = log.consume(500.0);
+  std::vector<LogCohort> taken;
+  log.consume(500.0, taken);
   double total = 0.0;
   for (const auto& c : taken) total += c.mass;
   EXPECT_DOUBLE_EQ(total, 100.0);
   EXPECT_DOUBLE_EQ(log.lag(), 0.0);
-  EXPECT_TRUE(log.consume(10.0).empty());
+  log.consume(10.0, taken);
+  EXPECT_TRUE(taken.empty());
 }
 
 TEST(KafkaLog, ZeroRateProducesNothing) {
@@ -113,7 +117,9 @@ TEST(KafkaLog, ClearDropsPending) {
   log.produce(0.0, 1.0);
   log.clear();
   EXPECT_DOUBLE_EQ(log.lag(), 0.0);
-  EXPECT_TRUE(log.consume(10.0).empty());
+  std::vector<LogCohort> taken;
+  log.consume(10.0, taken);
+  EXPECT_TRUE(taken.empty());
   // Totals are preserved (clear only drops pending records).
   EXPECT_DOUBLE_EQ(log.total_produced(), 100.0);
 }
