@@ -20,13 +20,21 @@
 // verdict — together with the FitStats counters — is the deterministic,
 // bench_compare-gated part of the committed BENCH_overhead.json; the
 // timing columns carry noise and are skipped by the CI gate.
+//
+// The prediction section (same flags) measures the batched posterior: 32
+// candidates predicted one by one with predict() vs as one predict_batch()
+// block, at n in {64, 256, 1024} ({64, 256} under --smoke). Its rows carry
+// "section": "predict"; the gated column is `identical` (1 when every mean
+// and variance is bit-equal), the timings are skipped like the others.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cmath>
 #include <cstring>
 #include <random>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "core/bootstrap.hpp"
@@ -203,16 +211,18 @@ gp::GpConfig incremental_gp_config() {
   return cfg;
 }
 
-void run_incremental_section(bool smoke, const std::string& json_path) {
+std::vector<std::size_t> section_sizes(bool smoke) {
+  return smoke ? std::vector<std::size_t>{64, 256}
+               : std::vector<std::size_t>{64, 256, 1024};
+}
+
+void run_incremental_section(bool smoke, bench::JsonReport& report) {
   bench::header(
       "incremental GP — O(n^2) observe() vs O(n^3) refit (DESIGN.md §14)");
   std::printf("%8s %4s %12s %12s %9s %8s %7s\n", "n", "d", "refit [ms]",
               "observe[us]", "speedup", "parity", "inc/full");
 
-  bench::JsonReport report("table4_overhead");
-  const std::vector<std::size_t> grid =
-      smoke ? std::vector<std::size_t>{64, 256}
-            : std::vector<std::size_t>{64, 256, 1024};
+  const std::vector<std::size_t> grid = section_sizes(smoke);
 
   for (const std::size_t n : grid) {
     linalg::Matrix x(n, kGpDims);
@@ -296,11 +306,82 @@ void run_incremental_section(bool smoke, const std::string& json_path) {
       "\nShape check: observe() stays microsecond-range while the refit "
       "grows O(n^3) — >= 10x at n = 1024 — and the incremental posterior "
       "matches the from-scratch fit to <= 1e-9.\n");
+}
 
-  if (!json_path.empty()) {
-    if (!report.write(json_path)) std::exit(1);
-    std::printf("wrote %s\n", json_path.c_str());
+void run_prediction_section(bool smoke, bench::JsonReport& report) {
+  bench::header(
+      "batched posterior — predict() per point vs predict_batch() "
+      "(DESIGN.md §14)");
+  std::printf("%8s %6s %10s %10s %9s %10s\n", "n", "cands", "point[us]",
+              "batch[us]", "speedup", "identical");
+  constexpr std::size_t kCandidates = 32;
+  using Clock = std::chrono::steady_clock;
+
+  for (const std::size_t n : section_sizes(smoke)) {
+    linalg::Matrix x(n, kGpDims);
+    linalg::Vector y(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      gp_point(i, x.row(i).data());
+      y[i] = gp_target(x.row(i).data());
+    }
+    gp::GpRegressor model(incremental_gp_config());
+    model.fit(x, y);
+    std::vector<double> cands(kCandidates * kGpDims);
+    for (std::size_t c = 0; c < kCandidates; ++c) {
+      gp_point(n + 2 + c, &cands[c * kGpDims]);
+    }
+
+    // Same candidates both ways; every result must be bit-equal.
+    std::vector<gp::Prediction> batch(kCandidates);
+    gp::PredictWorkspace ws;
+    model.predict_batch(cands, batch, ws);
+    bool identical = true;
+    for (std::size_t c = 0; c < kCandidates; ++c) {
+      const gp::Prediction p =
+          model.predict(std::span(cands).subspan(c * kGpDims, kGpDims));
+      identical = identical && p.mean == batch[c].mean &&
+                  p.variance == batch[c].variance;
+    }
+
+    // About 4M factor entries read per timing, at least 3 repetitions.
+    const std::size_t reps = std::max<std::size_t>(3, (1u << 22) / (n * n));
+    double sink = 0.0;
+    const auto t0 = Clock::now();
+    for (std::size_t r = 0; r < reps; ++r) {
+      for (std::size_t c = 0; c < kCandidates; ++c) {
+        sink += model.predict(std::span(cands).subspan(c * kGpDims, kGpDims))
+                    .mean;
+      }
+    }
+    const auto t1 = Clock::now();
+    for (std::size_t r = 0; r < reps; ++r) {
+      model.predict_batch(cands, batch, ws);
+      sink += batch[0].mean;
+    }
+    const auto t2 = Clock::now();
+    benchmark::DoNotOptimize(sink);
+    const double per_call = static_cast<double>(reps * kCandidates);
+    const double point_us =
+        std::chrono::duration<double, std::micro>(t1 - t0).count() / per_call;
+    const double batch_us =
+        std::chrono::duration<double, std::micro>(t2 - t1).count() / per_call;
+    const double speedup = batch_us > 0.0 ? point_us / batch_us : 0.0;
+
+    std::printf("%8zu %6zu %10.2f %10.2f %8.2fx %10s\n", n, kCandidates,
+                point_us, batch_us, speedup, identical ? "yes" : "NO");
+    report.row()
+        .str("section", "predict")
+        .num("n", static_cast<double>(n))
+        .num("candidates", static_cast<double>(kCandidates))
+        .num("identical", identical ? 1.0 : 0.0)
+        .num("point_us", point_us)
+        .num("batch_us", batch_us)
+        .num("speedup", speedup);
   }
+
+  std::printf(
+      "\nShape check: predict_batch() returns bit-identical posteriors and "
+      "costs less per candidate than predict() at every n.\n");
 }
 
 }  // namespace
@@ -326,6 +407,12 @@ int main(int argc, char** argv) {
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
   }
-  run_incremental_section(smoke, json_path);
+  bench::JsonReport report("table4_overhead");
+  run_incremental_section(smoke, report);
+  run_prediction_section(smoke, report);
+  if (!json_path.empty()) {
+    if (!report.write(json_path)) return 1;
+    std::printf("wrote %s\n", json_path.c_str());
+  }
   return 0;
 }

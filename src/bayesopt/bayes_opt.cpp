@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -67,8 +66,8 @@ void BayesOpt::refit_if_dirty() {
   linalg::Matrix x(observations_.size(), space_.dims());
   linalg::Vector y(observations_.size());
   for (std::size_t i = 0; i < observations_.size(); ++i) {
-    const auto f = to_features(observations_[i].config);
-    std::copy(f.begin(), f.end(), x.row(i).begin());
+    const Config& c = observations_[i].config;
+    std::copy(c.begin(), c.end(), x.row(i).begin());
     y[i] = observations_[i].score;
   }
   surrogate_.fit(x, y);
@@ -117,22 +116,19 @@ Suggestion BayesOpt::suggest() {
   if (observations_.empty()) {
     throw std::logic_error("BayesOpt::suggest: observe at least one sample");
   }
+  const std::size_t d = space_.dims();
 
-  std::set<Config> seen;
-  for (const Observation& o : observations_) seen.insert(o.config);
+  ConfigBlock seen(d);
+  for (const Observation& o : observations_) seen.push_back(o.config);
+  seen.sort_unique();
 
-  std::vector<Config> cands =
-      space_.candidates(config_.candidate_budget, rng_);
+  ConfigBlock cands = space_.candidates(config_.candidate_budget, rng_);
   // Random candidates almost never land next to the points that matter in
   // a large space; add local moves around the incumbent, the best few
   // observations, and the lower corner (the base configuration).
   const auto add_local = [&](const Config& center) {
-    for (Config& c : space_.local_candidates(center)) {
-      cands.push_back(std::move(c));
-    }
-    for (Config& c : space_.axis_candidates(center)) {
-      cands.push_back(std::move(c));
-    }
+    cands.append(space_.local_candidates(center));
+    cands.append(space_.axis_candidates(center));
   };
   add_local(space_.lower());
   std::vector<const Observation*> ranked;
@@ -146,42 +142,49 @@ Suggestion BayesOpt::suggest() {
     add_local(ranked[i]->config);
   }
 
+  std::vector<std::size_t> fresh;
+  fresh.reserve(cands.size());
+  for (std::size_t r = 0; r < cands.size(); ++r) {
+    if (!seen.sorted_contains(cands[r])) fresh.push_back(r);
+  }
+  const auto config_of = [&](std::size_t r) {
+    return Config(cands[r].begin(), cands[r].end());
+  };
+
   if (observations_.size() < 2) {
     // Not enough data for a meaningful surrogate: explore randomly.
-    std::vector<Config> fresh;
-    for (const Config& c : cands) {
-      if (!seen.contains(c)) fresh.push_back(c);
-    }
     if (fresh.empty()) {
       return {observations_.front().config, 0.0,
               SuggestionSource::kBestObservedFallback};
     }
     std::uniform_int_distribution<std::size_t> dist(0, fresh.size() - 1);
-    return {fresh[dist(rng_)], 0.0, SuggestionSource::kRandomBootstrap};
+    return {config_of(fresh[dist(rng_)]), 0.0,
+            SuggestionSource::kRandomBootstrap};
   }
 
   refit_if_dirty();
   const double incumbent = best()->score;
 
-  // Score the whole candidate batch in parallel (each EI is an independent
-  // GP posterior read), then pick the winner with a serial scan in candidate
-  // order so the suggestion is identical at any thread count. Seen configs
-  // score nullopt and never participate in the selection.
-  const exec::ExecContext ctx(config_.gp.threads);
-  const std::vector<std::optional<double>> eis = exec::parallel_map(
-      ctx, cands.size(), [&](std::size_t i) -> std::optional<double> {
-        if (seen.contains(cands[i])) return std::nullopt;
-        const gp::Prediction p = surrogate_.predict(to_features(cands[i]));
-        return gp::expected_improvement(p, incumbent, config_.xi);
-      });
+  // Score the unseen candidates in blocks (in parallel; each EI is an
+  // independent GP posterior read), then pick the winner with a serial
+  // scan in candidate order so the suggestion is identical at any thread
+  // count.
+  std::vector<double> features(fresh.size() * d);
+  for (std::size_t f = 0; f < fresh.size(); ++f) {
+    const std::span<const int> c = cands[fresh[f]];
+    std::copy(c.begin(), c.end(), features.begin() +
+                                      static_cast<std::ptrdiff_t>(f * d));
+  }
+  std::vector<double> eis(fresh.size());
+  gp::expected_improvement(surrogate_, features, incumbent, config_.xi,
+                           exec::ExecContext(config_.gp.threads), eis);
 
   double best_ei = 0.0;
   std::optional<std::size_t> best_idx;
-  for (std::size_t i = 0; i < cands.size(); ++i) {
-    if (!eis[i]) continue;
-    if (!best_idx || *eis[i] > best_ei) {
-      best_ei = *eis[i];
-      best_idx = i;
+  for (std::size_t f = 0; f < fresh.size(); ++f) {
+    if (!best_idx || eis[f] > best_ei) {
+      best_ei = eis[f];
+      best_idx = fresh[f];
     }
   }
   if (!best_idx || best_ei <= 0.0) {
@@ -189,7 +192,7 @@ Suggestion BayesOpt::suggest() {
     // the caller's repeated-config termination condition can fire.
     return {best()->config, 0.0, SuggestionSource::kBestObservedFallback};
   }
-  return {cands[*best_idx], best_ei, SuggestionSource::kAcquisition};
+  return {config_of(*best_idx), best_ei, SuggestionSource::kAcquisition};
 }
 
 std::optional<Observation> BayesOpt::best() const {

@@ -8,12 +8,48 @@
 
 #include <cstdint>
 #include <random>
+#include <span>
 #include <vector>
 
 namespace autra::bo {
 
 /// A point in the search space: one parallelism per operator.
 using Config = std::vector<int>;
+
+/// A list of configurations of one dimension, stored as the rows of one
+/// row-major int block (no allocation per configuration).
+class ConfigBlock {
+ public:
+  explicit ConfigBlock(std::size_t dims) : dims_(dims) {}
+
+  /// Number of rows.
+  [[nodiscard]] std::size_t size() const noexcept {
+    return dims_ == 0 ? 0 : data_.size() / dims_;
+  }
+
+  /// Row r.
+  [[nodiscard]] std::span<const int> operator[](std::size_t r) const noexcept {
+    return {data_.data() + r * dims_, dims_};
+  }
+
+  /// Appends one row; throws std::invalid_argument unless it has the
+  /// block's dimension.
+  void push_back(std::span<const int> c);
+  /// Appends every row of `other` (same dims), in order.
+  void append(const ConfigBlock& other);
+  void reserve(std::size_t rows) { data_.reserve(rows * dims_); }
+
+  /// Sorts the rows lexicographically and drops repeats: the rows and order
+  /// a std::set<Config> of them would iterate.
+  void sort_unique();
+
+  /// Binary search for `c`; the block must be sorted (sort_unique()).
+  [[nodiscard]] bool sorted_contains(std::span<const int> c) const;
+
+ private:
+  std::size_t dims_;
+  std::vector<int> data_;
+};
 
 /// Integer box [lower_i, upper_i] per dimension.
 class SearchSpace {
@@ -39,18 +75,18 @@ class SearchSpace {
 
   /// All points of the space in lexicographic order. Throws
   /// std::length_error if cardinality() exceeds `max_points`.
-  [[nodiscard]] std::vector<Config> enumerate(
-      std::uint64_t max_points = 200000) const;
+  [[nodiscard]] ConfigBlock enumerate(std::uint64_t max_points = 200000) const;
 
-  /// `n` points sampled uniformly at random (with replacement).
-  [[nodiscard]] std::vector<Config> sample(std::size_t n,
-                                           std::mt19937_64& rng) const;
+  /// `n` points sampled uniformly at random (with replacement): one
+  /// uniform_int_distribution(lower_i, upper_i) draw per coordinate, in
+  /// row then coordinate order.
+  [[nodiscard]] ConfigBlock sample(std::size_t n, std::mt19937_64& rng) const;
 
   /// Candidate set for acquisition maximisation: full enumeration when the
   /// space is small, otherwise `budget` random samples plus the corners of
-  /// the box. Duplicates are removed.
-  [[nodiscard]] std::vector<Config> candidates(std::size_t budget,
-                                               std::mt19937_64& rng) const;
+  /// the box, sorted lexicographically with duplicates removed.
+  [[nodiscard]] ConfigBlock candidates(std::size_t budget,
+                                       std::mt19937_64& rng) const;
 
   /// Local moves around `center`, clamped into the space: every single
   /// coordinate changed by ±1..±radius, every coordinate pair changed by
@@ -58,8 +94,8 @@ class SearchSpace {
   /// random candidates almost never fall next to the incumbent, yet the
   /// optimum of a benefit surface usually does — mixing these in is what
   /// makes EI able to fine-tune a configuration.
-  [[nodiscard]] std::vector<Config> local_candidates(const Config& center,
-                                                     int radius = 2) const;
+  [[nodiscard]] ConfigBlock local_candidates(const Config& center,
+                                             int radius = 2) const;
 
   /// Axis sweeps through `center`: for every dimension, `levels` values
   /// spread over [lower_i, upper_i] with the other coordinates fixed at
@@ -67,8 +103,8 @@ class SearchSpace {
   /// base configuration and the incumbent — where per-operator benefit
   /// surfaces put their optima — which neither random sampling nor +-2
   /// local moves reach in a large space.
-  [[nodiscard]] std::vector<Config> axis_candidates(const Config& center,
-                                                    int levels = 8) const;
+  [[nodiscard]] ConfigBlock axis_candidates(const Config& center,
+                                            int levels = 8) const;
 
  private:
   Config lower_;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "exec/exec.hpp"
+
 namespace autra::core {
 
 RateAwareModel::RateAwareModel(gp::GpConfig gp_config)
@@ -27,12 +29,19 @@ void RateAwareModel::add_sample(RatedSample sample) {
   samples_.push_back(std::move(sample));
 }
 
+namespace {
+
+/// The rate column of a feature row. The GP normalises inputs per
+/// dimension, so the raw rate is fine as a feature; scaling to thousands
+/// just keeps the numbers readable.
+double rate_feature(double rate) { return rate / 1000.0; }
+
+}  // namespace
+
 std::vector<double> RateAwareModel::features(const runtime::Parallelism& config,
                                              double rate) const {
   std::vector<double> f(config.begin(), config.end());
-  // The GP normalises inputs per dimension, so the raw rate is fine as a
-  // feature; scaling to thousands just keeps the numbers readable.
-  f.push_back(rate / 1000.0);
+  f.push_back(rate_feature(rate));
   return f;
 }
 
@@ -66,14 +75,10 @@ runtime::Parallelism RateAwareModel::recommend(const runtime::Parallelism& base,
   if (!gp_.is_fitted()) {
     throw std::logic_error("RateAwareModel::recommend: model not fitted");
   }
-  bo::SearchSpace space(bo::Config(base.begin(), base.end()),
-                        bo::Config(base.size(), params.max_parallelism));
+  bo::SearchSpace space(base, bo::Config(base.size(), params.max_parallelism));
 
-  std::vector<bo::Config> cands = space.candidates(2048, rng);
-  for (bo::Config& c : space.local_candidates(
-           bo::Config(base.begin(), base.end()))) {
-    cands.push_back(std::move(c));
-  }
+  bo::ConfigBlock cands = space.candidates(2048, rng);
+  cands.append(space.local_candidates(base));
   // Local moves around configurations that scored well at nearby rates.
   std::vector<const RatedSample*> ranked;
   for (const RatedSample& s : samples_) ranked.push_back(&s);
@@ -82,12 +87,8 @@ runtime::Parallelism RateAwareModel::recommend(const runtime::Parallelism& base,
               return a->score > b->score;
             });
   for (std::size_t i = 0; i < ranked.size() && i < 3; ++i) {
-    const bo::Config center(ranked[i]->config.begin(),
-                            ranked[i]->config.end());
-    const bo::Config clamped = space.clamp(center);
-    for (bo::Config& c : space.local_candidates(clamped)) {
-      cands.push_back(std::move(c));
-    }
+    const bo::Config clamped = space.clamp(ranked[i]->config);
+    cands.append(space.local_candidates(clamped));
     cands.push_back(clamped);
   }
 
@@ -95,18 +96,28 @@ runtime::Parallelism RateAwareModel::recommend(const runtime::Parallelism& base,
   // interest (there are no observations at the new rate yet).
   const double incumbent = predict_mean(base, rate);
 
+  // Feature rows as features() builds them, one per candidate.
+  const std::size_t d = base.size() + 1;
+  std::vector<double> rows(cands.size() * d);
+  for (std::size_t r = 0; r < cands.size(); ++r) {
+    const std::span<const int> c = cands[r];
+    double* row = rows.data() + r * d;
+    std::copy(c.begin(), c.end(), row);
+    row[d - 1] = rate_feature(rate);
+  }
+  std::vector<double> eis(cands.size());
+  gp::expected_improvement(gp_, rows, incumbent, params.xi,
+                           exec::ExecContext(gp_config_.threads), eis);
+
   double best_ei = -1.0;
-  bo::Config best = space.clamp(bo::Config(base.begin(), base.end()));
-  for (const bo::Config& c : cands) {
-    const runtime::Parallelism config(c.begin(), c.end());
-    const gp::Prediction p = gp_.predict(features(config, rate));
-    const double ei = gp::expected_improvement(p, incumbent, params.xi);
-    if (ei > best_ei) {
-      best_ei = ei;
-      best = c;
+  runtime::Parallelism best = space.clamp(base);
+  for (std::size_t r = 0; r < cands.size(); ++r) {
+    if (eis[r] > best_ei) {
+      best_ei = eis[r];
+      best.assign(cands[r].begin(), cands[r].end());
     }
   }
-  return {best.begin(), best.end()};
+  return best;
 }
 
 RateAwareResult run_rate_aware(const Evaluator& evaluate,

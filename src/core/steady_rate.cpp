@@ -14,9 +14,7 @@ namespace {
 
 bo::SearchSpace make_space(const runtime::Parallelism& base,
                            int max_parallelism) {
-  bo::Config lower(base.begin(), base.end());
-  bo::Config upper(base.size(), max_parallelism);
-  return {std::move(lower), std::move(upper)};
+  return {base, bo::Config(base.size(), max_parallelism)};
 }
 
 bo::BayesOptConfig make_bo_config(const SteadyRateParams& params) {
@@ -113,8 +111,7 @@ SteadyRateResult run_steady_rate(const Evaluator& evaluate,
                          static_cast<std::size_t>(params.max_evaluations) + 1);
 
   const auto record = [&](SamplePoint sample) -> const SamplePoint& {
-    opt.observe(bo::Config(sample.config.begin(), sample.config.end()),
-                sample.score);
+    opt.observe(sample.config, sample.score);
     result.history.push_back(std::move(sample));
     return result.history.back();
   };
@@ -172,7 +169,7 @@ SteadyRateResult run_steady_rate(const Evaluator& evaluate,
 
   while (satisfied == nullptr && budget > 0) {
     const bo::Suggestion next = opt.suggest();
-    const runtime::Parallelism config(next.config.begin(), next.config.end());
+    const runtime::Parallelism& config = next.config;
 
     // Acquisition and random-bootstrap suggestions are unobserved by
     // construction; only the best-observed fallback can repeat a config. A
@@ -223,10 +220,9 @@ runtime::Parallelism recommend_next(std::span<const SamplePoint> samples,
   bo::BayesOpt opt(make_space(base, params.max_parallelism),
                    make_bo_config(params));
   for (const SamplePoint& s : samples) {
-    opt.observe(bo::Config(s.config.begin(), s.config.end()), s.score);
+    opt.observe(s.config, s.score);
   }
-  const bo::Suggestion next = opt.suggest();
-  return {next.config.begin(), next.config.end()};
+  return opt.suggest().config;
 }
 
 }  // namespace autra::core

@@ -44,6 +44,11 @@ std::uint64_t fingerprint_of(const linalg::Matrix& x, const linalg::Vector& y) {
   return h;
 }
 
+bool all_finite(std::span<const double> values) {
+  return std::all_of(values.begin(), values.end(),
+                     [](double v) { return std::isfinite(v); });
+}
+
 }  // namespace
 
 double Prediction::stddev() const noexcept { return std::sqrt(variance); }
@@ -90,6 +95,9 @@ void GpRegressor::fit(const linalg::Matrix& x, const linalg::Vector& y) {
   if (x.rows() != y.size()) {
     throw std::invalid_argument("GpRegressor::fit: X/y size mismatch");
   }
+  if (!all_finite(x.data()) || !all_finite(y)) {
+    throw std::invalid_argument("GpRegressor::fit: non-finite training data");
+  }
   const std::uint64_t fp = fingerprint_of(x, y);
   if (fitted_ && fp == fingerprint_) {
     ++stats_.fingerprint_hits;
@@ -127,7 +135,7 @@ void GpRegressor::fit_from_raw() {
   x_ = linalg::Matrix(n, d);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < d; ++j) {
-      x_(i, j) = (x_raw_(i, j) - x_offset_[j]) / x_scale_[j];
+      x_(i, j) = normalize(x_raw_(i, j), j);
     }
   }
 
@@ -137,70 +145,85 @@ void GpRegressor::fit_from_raw() {
   observe_count_ = 0;
   ++stats_.full_fits;
 
+  // The pairwise distances do not depend on the hyper-parameters: compute
+  // them once, and let every grid point and the final factorisation map
+  // them through its own kernel.
+  linalg::Matrix d2 = linalg::squared_distances(x_);
   if (!config_.optimize_hyperparams || n < 3) {
-    refit_factorisation();
+    refit_factorisation(std::move(d2));
     return;
   }
 
   // Multi-start grid search over (signal variance, length scale) maximising
   // the log marginal likelihood. With standardised targets the optimal
-  // signal variance is near 1, so a modest grid around it suffices. Each
-  // grid point is an independent kernel build + Cholesky + log-ML, so the
-  // grid is evaluated in parallel; the argmax scan runs serially in grid
-  // order, which keeps the selected hyper-parameters bit-identical at any
-  // thread count.
-  const int g = std::max(2, config_.grid_points);
-  struct GridPoint {
-    double sv = 1.0;
-    double ls = 1.0;
+  // signal variance is near 1, so a modest grid around it suffices. A
+  // kernel's shape and decay depend on the length scale only, so each
+  // length scale computes them once and builds the Gram matrix, Cholesky
+  // and log-ML of every signal variance from them; the length scales run
+  // in parallel. The argmax scan runs serially in grid order (signal
+  // variance outer), which keeps the selected hyper-parameters
+  // bit-identical at any thread count.
+  const std::size_t g =
+      static_cast<std::size_t>(std::max(2, config_.grid_points));
+  const auto log_spaced = [g](double lo, double hi, std::size_t i) {
+    return std::exp(std::log(lo) + (std::log(hi) - std::log(lo)) *
+                                       static_cast<double>(i) /
+                                       static_cast<double>(g - 1));
   };
-  std::vector<GridPoint> grid;
-  grid.reserve(static_cast<std::size_t>(g) * static_cast<std::size_t>(g));
-  for (int a = 0; a < g; ++a) {
-    // Signal variance grid: log-spaced in [0.1, 10].
-    const double sv =
-        std::exp(std::log(0.1) + (std::log(10.0) - std::log(0.1)) *
-                                     static_cast<double>(a) /
-                                     static_cast<double>(g - 1));
-    for (int b = 0; b < g; ++b) {
-      const double ls = std::exp(
-          std::log(config_.min_length_scale) +
-          (std::log(config_.max_length_scale) -
-           std::log(config_.min_length_scale)) *
-              static_cast<double>(b) / static_cast<double>(g - 1));
-      grid.push_back({sv, ls});
-    }
+  std::vector<double> svs(g), lss(g);
+  for (std::size_t i = 0; i < g; ++i) {
+    svs[i] = log_spaced(0.1, 10.0, i);
+    lss[i] = log_spaced(config_.min_length_scale, config_.max_length_scale, i);
+  }
+  // The squared distances below the diagonal, row by row.
+  std::vector<double> below;
+  below.reserve(n * (n - 1) / 2);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < i; ++j) below.push_back(d2(i, j));
   }
 
+  std::vector<double> log_mls(g * g);
   const exec::ExecContext ctx(config_.threads);
-  const std::vector<double> log_mls = exec::parallel_map(
-      ctx, grid.size(), [&](std::size_t i) {
-        const auto kernel = kernel_->clone();
-        kernel->set_signal_variance(grid[i].sv);
-        kernel->set_length_scale(grid[i].ls);
-        linalg::Matrix k = kernel->gram(x_);
-        k.add_diagonal(config_.noise_variance);
-        const auto chol = linalg::Cholesky::factor(k);
-        if (!chol) return -std::numeric_limits<double>::infinity();
-        const linalg::Vector alpha = chol->solve(y_);
-        return compute_log_ml(*chol, y_, alpha);
-      });
+  exec::parallel_for(ctx, g, [&](std::size_t b) {
+    const auto kernel = make_kernel(kernel_->kind(), 1.0, lss[b]);
+    std::vector<double> shape = below;
+    std::vector<double> decay(below.size());
+    kernel->shape_and_decay(shape, decay);
+    linalg::Matrix k(n, n);
+    for (std::size_t a = 0; a < g; ++a) {
+      // The lower triangle of kernel->gram() + noise I: all factor() reads.
+      kernel->set_signal_variance(svs[a]);
+      std::size_t p = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < i; ++j, ++p) {
+          k(i, j) = kernel->covariance(shape[p], decay[p]);
+        }
+        k(i, i) = kernel->diagonal() + config_.noise_variance;
+      }
+      const auto chol = linalg::Cholesky::factor(k);
+      log_mls[a * g + b] =
+          chol ? compute_log_ml(*chol, y_, chol->solve(y_))
+               : -std::numeric_limits<double>::infinity();
+    }
+  });
 
   double best_ml = -std::numeric_limits<double>::infinity();
-  GridPoint best;
-  for (std::size_t i = 0; i < grid.size(); ++i) {
+  double best_sv = 1.0;
+  double best_ls = 1.0;
+  for (std::size_t i = 0; i < log_mls.size(); ++i) {
     if (log_mls[i] > best_ml) {
       best_ml = log_mls[i];
-      best = grid[i];
+      best_sv = svs[i / g];
+      best_ls = lss[i % g];
     }
   }
-  kernel_->set_signal_variance(best.sv);
-  kernel_->set_length_scale(best.ls);
-  refit_factorisation();
+  kernel_->set_signal_variance(best_sv);
+  kernel_->set_length_scale(best_ls);
+  refit_factorisation(std::move(d2));
 }
 
-void GpRegressor::refit_factorisation() {
-  linalg::Matrix k = kernel_->gram(x_);
+void GpRegressor::refit_factorisation(linalg::Matrix d2) {
+  linalg::Matrix k = kernel_->gram_from_squared_distances(std::move(d2));
   k.add_diagonal(config_.noise_variance);
   chol_ = linalg::Cholesky::factor_with_jitter(std::move(k), 1e-10, 1e-2,
                                                &jitter_);
@@ -231,6 +254,9 @@ void GpRegressor::observe(std::span<const double> x, double y) {
   }
   if (x.size() != x_raw_.cols()) {
     throw std::invalid_argument("GpRegressor::observe: dimension mismatch");
+  }
+  if (!all_finite(x) || !std::isfinite(y)) {
+    throw std::invalid_argument("GpRegressor::observe: non-finite observation");
   }
 
   x_raw_.append_row(x);
@@ -274,7 +300,8 @@ void GpRegressor::observe(std::span<const double> x, double y) {
     chol_->drop_first();
     x_.drop_first_row();
   }
-  const std::vector<double> z = normalize_point(x);
+  std::vector<double> z(x.size());
+  for (std::size_t j = 0; j < z.size(); ++j) z[j] = normalize(x[j], j);
   const linalg::Vector k_star = kernel_->cross(x_, z);
   try {
     chol_->append_row(k_star, kernel_->diagonal() + config_.noise_variance);
@@ -338,7 +365,7 @@ void GpRegressor::restore(const GpSnapshot& snap) {
   x_ = linalg::Matrix(n, d);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < d; ++j) {
-      x_(i, j) = (x_raw_(i, j) - x_offset_[j]) / x_scale_[j];
+      x_(i, j) = normalize(x_raw_(i, j), j);
     }
   }
   refresh_targets();
@@ -354,39 +381,61 @@ void GpRegressor::restore(const GpSnapshot& snap) {
   fitted_ = true;
 }
 
-std::vector<double> GpRegressor::normalize_point(
-    std::span<const double> x_star) const {
-  if (x_star.size() != x_.cols()) {
-    throw std::invalid_argument("GpRegressor::predict: dimension mismatch");
-  }
-  std::vector<double> z(x_star.size());
-  for (std::size_t j = 0; j < z.size(); ++j) {
-    z[j] = (x_star[j] - x_offset_[j]) / x_scale_[j];
-  }
-  return z;
-}
-
-Prediction GpRegressor::predict(std::span<const double> x_star) const {
+void GpRegressor::predict_batch(std::span<const double> rows,
+                                std::span<Prediction> out,
+                                PredictWorkspace& ws) const {
   if (!fitted_) {
     throw std::logic_error("GpRegressor::predict: model not fitted");
   }
-  const std::vector<double> z = normalize_point(x_star);
-  const linalg::Vector k_star = kernel_->cross(x_, z);
-  const double mean_n = linalg::dot(k_star, alpha_);
-  const linalg::Vector v = chol_->solve_lower(k_star);
-  double var_n = kernel_->diagonal() - linalg::dot(v, v);
-  var_n = std::max(var_n, 0.0);
+  const std::size_t n = x_.rows();
+  const std::size_t d = x_.cols();
+  const std::size_t m = out.size();
+  if (rows.size() != m * d) {
+    throw std::invalid_argument("GpRegressor::predict: dimension mismatch");
+  }
+  if (m == 0) return;
+  ws.z.resize(m * d);
+  ws.k.resize(n * m);
+  for (std::size_t c = 0; c < m; ++c) {
+    for (std::size_t j = 0; j < d; ++j) {
+      ws.z[j * m + c] = normalize(rows[c * d + j], j);
+    }
+  }
+  kernel_->cross(x_, ws.z, ws.k);
 
+  // Per point: mean = dot(k*, alpha) and variance = diag - dot(v, v) with
+  // v = L^-1 k*, each summed in ascending training index from 0.0. `out`
+  // holds the two running sums.
+  for (Prediction& p : out) p = Prediction{};
+  for (std::size_t i = 0; i < n; ++i) {
+    const double a = alpha_[i];
+    const double* ki = ws.k.data() + i * m;
+    for (std::size_t c = 0; c < m; ++c) out[c].mean += ki[c] * a;
+  }
+  chol_->solve_lower_in_place(ws.k, m);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* vi = ws.k.data() + i * m;
+    for (std::size_t c = 0; c < m; ++c) out[c].variance += vi[c] * vi[c];
+  }
+  const double diag = kernel_->diagonal();
+  for (Prediction& p : out) {
+    const double var_n = std::max(diag - p.variance, 0.0);
+    p.mean = p.mean * y_std_ + y_mean_;
+    p.variance = var_n * y_std_ * y_std_;
+  }
+}
+
+Prediction GpRegressor::predict(std::span<const double> x_star) const {
   Prediction p;
-  p.mean = mean_n * y_std_ + y_mean_;
-  p.variance = var_n * y_std_ * y_std_;
+  PredictWorkspace ws;
+  predict_batch(x_star, {&p, 1}, ws);
   return p;
 }
 
 std::vector<Prediction> GpRegressor::predict(const linalg::Matrix& x) const {
-  std::vector<Prediction> out;
-  out.reserve(x.rows());
-  for (std::size_t i = 0; i < x.rows(); ++i) out.push_back(predict(x.row(i)));
+  std::vector<Prediction> out(x.rows());
+  PredictWorkspace ws;
+  predict_batch(x.data(), out, ws);
   return out;
 }
 

@@ -28,6 +28,14 @@ struct Prediction {
   [[nodiscard]] double stddev() const noexcept;
 };
 
+/// Scratch buffers of GpRegressor::predict_batch, owned by the caller: once
+/// they have grown to a block's size, predicting further blocks of that
+/// size allocates nothing.
+struct PredictWorkspace {
+  std::vector<double> z;  ///< The block, normalised, coordinate-major.
+  std::vector<double> k;  ///< Cross-covariances, then L^-1 of them (n x m).
+};
+
 /// Counters reporting which model-update path ran — the observability
 /// contract of the incremental Plan path (an always-on controller asserts
 /// its rounds ran incremental_updates, not full_fits).
@@ -114,7 +122,8 @@ class GpRegressor {
   ~GpRegressor() = default;
 
   /// Fits the model to `x` (row per sample) and targets `y`.
-  /// Throws std::invalid_argument on shape mismatch or empty data.
+  /// Throws std::invalid_argument on shape mismatch, empty data or any
+  /// non-finite value, before any state changes.
   /// Fitting the exact same (x, y) as the previous fit is a no-op (an
   /// input-fingerprint short-circuit; FitStats::fingerprint_hits counts
   /// it) — the cached factor and hyper-parameters are already right.
@@ -129,7 +138,8 @@ class GpRegressor {
   /// factor cannot be extended (active jitter / lost positive
   /// definiteness). With max_observations set, the oldest observation is
   /// evicted first once the window is full. Throws std::logic_error before
-  /// fit() and std::invalid_argument on dimension mismatch.
+  /// fit() and std::invalid_argument on dimension mismatch or a non-finite
+  /// x or y, before any state changes.
   void observe(std::span<const double> x, double y);
 
   /// Captures the full fitted state (raw window, hyper-parameters, cached
@@ -143,11 +153,21 @@ class GpRegressor {
   /// shapes or a non-positive factor diagonal.
   void restore(const GpSnapshot& snap);
 
-  /// Posterior mean/variance at a point in the original input space.
-  /// Throws std::logic_error if called before fit().
+  /// Posterior mean/variance at each of the out.size() points of `rows`
+  /// (row-major, out.size() x input_dim(), original input space). The
+  /// block is normalised, crossed with the training inputs in one pass,
+  /// and run through one multi-right-hand-side forward solve, so each
+  /// factor row is read once per block. Every point's sums run in the
+  /// order a one-point block uses, so a prediction does not depend on the
+  /// block it is in. Throws std::logic_error if called before fit() and
+  /// std::invalid_argument on a size mismatch.
+  void predict_batch(std::span<const double> rows, std::span<Prediction> out,
+                     PredictWorkspace& ws) const;
+
+  /// Posterior mean/variance at one point: a one-row predict_batch.
   [[nodiscard]] Prediction predict(std::span<const double> x_star) const;
 
-  /// Convenience batch prediction.
+  /// Posterior at every row of `x`: a one-block predict_batch.
   [[nodiscard]] std::vector<Prediction> predict(const linalg::Matrix& x) const;
 
   /// Log marginal likelihood of the fitted model (on normalised targets).
@@ -166,10 +186,12 @@ class GpRegressor {
 
  private:
   void fit_from_raw();
-  void refit_factorisation();
+  void refit_factorisation(linalg::Matrix d2);
   void refresh_targets();
-  [[nodiscard]] std::vector<double> normalize_point(
-      std::span<const double> x_star) const;
+  /// Coordinate j of an input, mapped into the unit box of the last fit.
+  [[nodiscard]] double normalize(double v, std::size_t j) const noexcept {
+    return (v - x_offset_[j]) / x_scale_[j];
+  }
 
   GpConfig config_;
   std::unique_ptr<Kernel> kernel_;

@@ -1,5 +1,6 @@
 #include "gp/kernel.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -38,48 +39,109 @@ void Kernel::set_log_params(std::span<const double> p) {
   length_scale_ = std::exp(p[1]);
 }
 
-linalg::Matrix Kernel::gram(const linalg::Matrix& x) const {
-  const std::size_t n = x.rows();
-  linalg::Matrix k(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    k(i, i) = diagonal();
-    for (std::size_t j = 0; j < i; ++j) {
-      const double v = (*this)(x.row(i), x.row(j));
-      k(i, j) = v;
-      k(j, i) = v;
-    }
-  }
+double Kernel::operator()(std::span<const double> a,
+                          std::span<const double> b) const {
+  double k = linalg::squared_distance(a, b);
+  covariance_from_squared_distances({&k, 1});
   return k;
+}
+
+linalg::Matrix Kernel::gram(const linalg::Matrix& x) const {
+  return gram_from_squared_distances(linalg::squared_distances(x));
+}
+
+linalg::Matrix Kernel::gram_from_squared_distances(linalg::Matrix d2) const {
+  const std::size_t n = d2.rows();
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::span<double> left = d2.row(i).first(i);
+    covariance_from_squared_distances(left);
+    d2(i, i) = diagonal();
+    for (std::size_t j = 0; j < i; ++j) d2(j, i) = left[j];
+  }
+  return d2;
 }
 
 linalg::Vector Kernel::cross(const linalg::Matrix& x,
                              std::span<const double> x_star) const {
   linalg::Vector out(x.rows());
-  for (std::size_t i = 0; i < x.rows(); ++i) {
-    out[i] = (*this)(x.row(i), x_star);
-  }
+  cross(x, x_star, out);
   return out;
 }
 
-double Matern52::operator()(std::span<const double> a,
-                            std::span<const double> b) const {
-  const double r = std::sqrt(linalg::squared_distance(a, b)) / length_scale_;
-  const double s = std::sqrt(5.0) * r;
-  return signal_variance_ * (1.0 + s + s * s / 3.0) * std::exp(-s);
+void Kernel::cross(const linalg::Matrix& x, std::span<const double> points,
+                   std::span<double> out) const {
+  const std::size_t d = x.cols();
+  const std::size_t m = d == 0 ? 0 : points.size() / d;
+  if (points.size() != m * d || out.size() != x.rows() * m) {
+    throw std::invalid_argument("Kernel::cross: size mismatch");
+  }
+  if (m == 1) {
+    for (std::size_t i = 0; i < x.rows(); ++i) {
+      out[i] = linalg::squared_distance(x.row(i), points);
+    }
+  } else {
+    // The sums of linalg::squared_distance(X_i, point_c), term by term,
+    // with the loop across points innermost.
+    for (std::size_t i = 0; i < x.rows(); ++i) {
+      const std::span<const double> xi = x.row(i);
+      double* oi = out.data() + i * m;
+      std::fill(oi, oi + m, 0.0);
+      for (std::size_t j = 0; j < d; ++j) {
+        const double xij = xi[j];
+        const double* zj = points.data() + j * m;
+        for (std::size_t c = 0; c < m; ++c) {
+          const double diff = xij - zj[c];
+          oi[c] += diff * diff;
+        }
+      }
+    }
+  }
+  covariance_from_squared_distances(out);
 }
 
-double Matern32::operator()(std::span<const double> a,
-                            std::span<const double> b) const {
-  const double r = std::sqrt(linalg::squared_distance(a, b)) / length_scale_;
-  const double s = std::sqrt(3.0) * r;
-  return signal_variance_ * (1.0 + s) * std::exp(-s);
+void Kernel::covariance_from_squared_distances(
+    std::span<double> values) const {
+  constexpr std::size_t kChunk = 256;
+  double decay[kChunk];
+  for (std::size_t i0 = 0; i0 < values.size(); i0 += kChunk) {
+    const std::span<double> part =
+        values.subspan(i0, std::min(kChunk, values.size() - i0));
+    shape_and_decay(part, {decay, part.size()});
+    for (std::size_t i = 0; i < part.size(); ++i) {
+      part[i] = covariance(part[i], decay[i]);
+    }
+  }
 }
 
-double Rbf::operator()(std::span<const double> a,
-                       std::span<const double> b) const {
-  const double d2 = linalg::squared_distance(a, b);
-  return signal_variance_ *
-         std::exp(-d2 / (2.0 * length_scale_ * length_scale_));
+// k = s2 (1 + sqrt5 r/l + 5 r^2 / (3 l^2)) exp(-sqrt5 r/l).
+void Matern52::shape_and_decay(std::span<double> values,
+                               std::span<double> decay) const {
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    const double r = std::sqrt(values[i]) / length_scale_;
+    const double s = std::sqrt(5.0) * r;
+    values[i] = 1.0 + s + s * s / 3.0;
+    decay[i] = std::exp(-s);
+  }
+}
+
+// k = s2 (1 + sqrt3 r/l) exp(-sqrt3 r/l).
+void Matern32::shape_and_decay(std::span<double> values,
+                               std::span<double> decay) const {
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    const double r = std::sqrt(values[i]) / length_scale_;
+    const double s = std::sqrt(3.0) * r;
+    values[i] = 1.0 + s;
+    decay[i] = std::exp(-s);
+  }
+}
+
+// k = s2 exp(-r^2 / (2 l^2)); s2 * 1.0 is s2 exactly.
+void Rbf::shape_and_decay(std::span<double> values,
+                          std::span<double> decay) const {
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    decay[i] = std::exp(-values[i] / (2.0 * length_scale_ * length_scale_));
+    values[i] = 1.0;
+  }
 }
 
 const char* to_string(KernelKind kind) noexcept {

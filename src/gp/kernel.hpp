@@ -43,8 +43,25 @@ class Kernel {
   virtual ~Kernel() = default;
 
   /// Covariance between two points of equal dimension.
-  [[nodiscard]] virtual double operator()(
-      std::span<const double> a, std::span<const double> b) const = 0;
+  [[nodiscard]] double operator()(std::span<const double> a,
+                                  std::span<const double> b) const;
+
+  /// The kernel's formula, split so that a grid of signal variances can
+  /// share its costly part: at squared distance d2 the covariance is
+  /// (signal_variance() * shape) * decay, where shape and decay depend on
+  /// d2 and the length scale only. Overwrites each d2 in `values` with its
+  /// shape and writes its decay to the same index of `decay`.
+  virtual void shape_and_decay(std::span<double> values,
+                               std::span<double> decay) const = 0;
+
+  /// The covariance from shape_and_decay()'s parts.
+  [[nodiscard]] double covariance(double shape, double decay) const noexcept {
+    return signal_variance_ * shape * decay;
+  }
+
+  /// Replaces each squared distance d2 in `values` by the covariance at
+  /// distance sqrt(d2), with one virtual call per few hundred values.
+  void covariance_from_squared_distances(std::span<double> values) const;
 
   /// k(x, x) for a stationary kernel is the signal variance.
   [[nodiscard]] double diagonal() const noexcept { return signal_variance_; }
@@ -68,9 +85,23 @@ class Kernel {
   /// Gram matrix K where K(i,j) = k(X_i, X_j); X is row-per-sample.
   [[nodiscard]] linalg::Matrix gram(const linalg::Matrix& x) const;
 
+  /// The same Gram matrix from linalg::squared_distances(X) (only its lower
+  /// triangle is read), built in place in d2's storage: a fit computes the
+  /// distances once and hands them to its final kernel.
+  [[nodiscard]] linalg::Matrix gram_from_squared_distances(
+      linalg::Matrix d2) const;
+
   /// Cross-covariance vector [k(x_star, X_i)]_i.
   [[nodiscard]] linalg::Vector cross(const linalg::Matrix& x,
                                      std::span<const double> x_star) const;
+
+  /// Cross-covariances of a block of m points against the rows of X:
+  /// out[i * m + c] = k(X_i, point_c). The block is coordinate-major
+  /// (coordinate j of point c at points[j * m + c]), so each distance sum
+  /// runs over coordinates in order while the loop runs across points.
+  /// Throws std::invalid_argument on a size mismatch.
+  void cross(const linalg::Matrix& x, std::span<const double> points,
+             std::span<double> out) const;
 
  protected:
   Kernel(double signal_variance, double length_scale);
@@ -84,8 +115,8 @@ class Matern52 final : public Kernel {
  public:
   explicit Matern52(double signal_variance = 1.0, double length_scale = 1.0)
       : Kernel(signal_variance, length_scale) {}
-  [[nodiscard]] double operator()(std::span<const double> a,
-                                  std::span<const double> b) const override;
+  void shape_and_decay(std::span<double> values,
+                       std::span<double> decay) const override;
   [[nodiscard]] KernelKind kind() const noexcept override {
     return KernelKind::kMatern52;
   }
@@ -99,8 +130,8 @@ class Matern32 final : public Kernel {
  public:
   explicit Matern32(double signal_variance = 1.0, double length_scale = 1.0)
       : Kernel(signal_variance, length_scale) {}
-  [[nodiscard]] double operator()(std::span<const double> a,
-                                  std::span<const double> b) const override;
+  void shape_and_decay(std::span<double> values,
+                       std::span<double> decay) const override;
   [[nodiscard]] KernelKind kind() const noexcept override {
     return KernelKind::kMatern32;
   }
@@ -114,8 +145,8 @@ class Rbf final : public Kernel {
  public:
   explicit Rbf(double signal_variance = 1.0, double length_scale = 1.0)
       : Kernel(signal_variance, length_scale) {}
-  [[nodiscard]] double operator()(std::span<const double> a,
-                                  std::span<const double> b) const override;
+  void shape_and_decay(std::span<double> values,
+                       std::span<double> decay) const override;
   [[nodiscard]] KernelKind kind() const noexcept override {
     return KernelKind::kRbf;
   }

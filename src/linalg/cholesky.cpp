@@ -1,29 +1,80 @@
 #include "linalg/cholesky.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
 namespace autra::linalg {
+
+namespace {
+
+/// Rows that share each x[k] in the row-blocked forward solve and sweep:
+/// their sums are independent until the block's own triangle, so they run
+/// side by side instead of as one latency-bound chain.
+constexpr std::size_t kRowBlock = 8;
+
+/// Rows by right-hand sides of one register tile of the many-right-hand-side
+/// forward solve: 16 running sums, all in registers.
+constexpr std::size_t kTileRows = 4;
+constexpr std::size_t kTileCols = 4;
+
+/// Rows and columns of room a factor of size n keeps past its last row, so
+/// a sliding window compacts its buffer once per that many observations.
+std::size_t growth_room(std::size_t n) { return n / 32 + 8; }
+
+}  // namespace
+
+Cholesky::Cholesky(std::size_t n)
+    : buf_((n + growth_room(n)) * (n + growth_room(n)), 0.0),
+      stride_(n + growth_room(n)),
+      n_(n) {}
+
+void Cholesky::forward_rows(std::size_t n, double* x) const noexcept {
+  std::size_t i0 = 0;
+  for (; i0 + kRowBlock <= n; i0 += kRowBlock) {
+    const double* l[kRowBlock];
+    double s[kRowBlock];
+    for (std::size_t r = 0; r < kRowBlock; ++r) {
+      l[r] = row(i0 + r);
+      s[r] = x[i0 + r];
+    }
+    for (std::size_t k = 0; k < i0; ++k) {
+      const double xk = x[k];
+      for (std::size_t r = 0; r < kRowBlock; ++r) s[r] -= l[r][k] * xk;
+    }
+    // The block's own triangle: row r needs x of the rows above it.
+    for (std::size_t r = 0; r < kRowBlock; ++r) {
+      for (std::size_t k = i0; k < i0 + r; ++k) s[r] -= l[r][k] * x[k];
+      x[i0 + r] = s[r] / l[r][i0 + r];
+    }
+  }
+  for (std::size_t i = i0; i < n; ++i) {
+    const double* li = row(i);
+    double s = x[i];
+    for (std::size_t k = 0; k < i; ++k) s -= li[k] * x[k];
+    x[i] = s / li[i];
+  }
+}
 
 std::optional<Cholesky> Cholesky::factor(const Matrix& a) {
   if (a.rows() != a.cols()) {
     throw std::invalid_argument("Cholesky::factor: matrix must be square");
   }
   const std::size_t n = a.rows();
-  Matrix l(n, n);
+  Cholesky c(n);
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j <= i; ++j) {
-      double s = a(i, j);
-      for (std::size_t k = 0; k < j; ++k) s -= l(i, k) * l(j, k);
-      if (i == j) {
-        if (s <= 0.0 || !std::isfinite(s)) return std::nullopt;
-        l(i, i) = std::sqrt(s);
-      } else {
-        l(i, j) = s / l(j, j);
-      }
-    }
+    // Row i left of the diagonal solves L[0:i, 0:i] l_i = a_i; the products
+    // l(j,k) l(i,k) are those of the textbook loop, summed in the same order.
+    double* li = c.row(i);
+    const std::span<const double> ai = a.row(i);
+    std::copy(ai.begin(), ai.begin() + static_cast<std::ptrdiff_t>(i), li);
+    c.forward_rows(i, li);
+    double s = ai[i];
+    for (std::size_t k = 0; k < i; ++k) s -= li[k] * li[k];
+    if (s <= 0.0 || !std::isfinite(s)) return std::nullopt;
+    li[i] = std::sqrt(s);
   }
-  return Cholesky(std::move(l));
+  return c;
 }
 
 Cholesky Cholesky::factor_with_jitter(Matrix a, double jitter,
@@ -46,7 +97,7 @@ Cholesky Cholesky::factor_with_jitter(Matrix a, double jitter,
       "maximum jitter");
 }
 
-Cholesky Cholesky::from_lower(Matrix l) {
+Cholesky Cholesky::from_lower(const Matrix& l) {
   if (l.rows() != l.cols() || l.rows() == 0) {
     throw std::invalid_argument(
         "Cholesky::from_lower: factor must be square and non-empty");
@@ -56,85 +107,149 @@ Cholesky Cholesky::from_lower(Matrix l) {
       throw std::invalid_argument(
           "Cholesky::from_lower: diagonal must be positive and finite");
     }
-    for (std::size_t j = i + 1; j < l.cols(); ++j) l(i, j) = 0.0;
   }
-  return Cholesky(std::move(l));
+  Cholesky c(l.rows());
+  for (std::size_t i = 0; i < l.rows(); ++i) {
+    const std::span<const double> li = l.row(i);
+    std::copy(li.begin(), li.begin() + static_cast<std::ptrdiff_t>(i) + 1,
+              c.row(i));
+  }
+  return c;
 }
 
-namespace {
+Matrix Cholesky::lower() const {
+  Matrix out(n_, n_);
+  for (std::size_t i = 0; i < n_; ++i) {
+    std::copy(row(i), row(i) + i + 1, out.row(i).begin());
+  }
+  return out;
+}
 
-/// In-place rank-1 update sweep shared by update() and drop_first():
-/// rewrites the lower-triangular `l` into the factor of L L^T + v v^T.
-/// Consumes `v` as scratch.
-void rank1_update_sweep(Matrix& l, Vector& v) {
-  const std::size_t n = l.rows();
-  for (std::size_t k = 0; k < n; ++k) {
-    const double r = std::hypot(l(k, k), v[k]);
-    const double c = r / l(k, k);
-    const double s = v[k] / l(k, k);
-    l(k, k) = r;
-    for (std::size_t i = k + 1; i < n; ++i) {
-      l(i, k) = (l(i, k) + s * v[i]) / c;
-      v[i] = c * v[i] - s * l(i, k);
+bool Cholesky::rank1_sweep(Vector& v, bool downdate) {
+  // The textbook sweep walks column k down all rows i > k. Row i only
+  // needs column k's rotation (c_k, s_k) — fixed once row k reaches its
+  // diagonal — and its own running v_i, so sweeping row by row applies
+  // exactly the same operations to every entry in the same order, with
+  // rows read contiguously and kRowBlock v_i chains in flight.
+  const std::size_t n = n_;
+  // Column k's rotation: l' = (l + a_k v) / c_k, v' = c_k v - s_k l', with
+  // a_k = s_k (update) or -s_k (downdate; (-s) v is -(s v) exactly).
+  Vector c(n), a(n), s(n);
+  const auto diagonal = [&](double* li, double& vi, std::size_t i) {
+    double r = 0.0;
+    if (downdate) {
+      const double r2 = (li[i] - vi) * (li[i] + vi);
+      if (!(r2 > 0.0) || !std::isfinite(r2)) return false;
+      r = std::sqrt(r2);
+    } else {
+      r = std::hypot(li[i], vi);
+    }
+    c[i] = r / li[i];
+    s[i] = vi / li[i];
+    a[i] = downdate ? -s[i] : s[i];
+    li[i] = r;
+    return true;
+  };
+  std::size_t i0 = 0;
+  for (; i0 + kRowBlock <= n; i0 += kRowBlock) {
+    double* l[kRowBlock];
+    double w[kRowBlock];
+    for (std::size_t r = 0; r < kRowBlock; ++r) {
+      l[r] = row(i0 + r);
+      w[r] = v[i0 + r];
+    }
+    for (std::size_t k = 0; k < i0; ++k) {
+      const double ck = c[k], ak = a[k], sk = s[k];
+      for (std::size_t r = 0; r < kRowBlock; ++r) {
+        const double lk = (l[r][k] + ak * w[r]) / ck;
+        l[r][k] = lk;
+        w[r] = ck * w[r] - sk * lk;
+      }
+    }
+    for (std::size_t r = 0; r < kRowBlock; ++r) {
+      for (std::size_t k = i0; k < i0 + r; ++k) {
+        const double lk = (l[r][k] + a[k] * w[r]) / c[k];
+        l[r][k] = lk;
+        w[r] = c[k] * w[r] - s[k] * lk;
+      }
+      if (!diagonal(l[r], w[r], i0 + r)) return false;
     }
   }
+  for (std::size_t i = i0; i < n; ++i) {
+    double* li = row(i);
+    double wi = v[i];
+    for (std::size_t k = 0; k < i; ++k) {
+      const double lk = (li[k] + a[k] * wi) / c[k];
+      li[k] = lk;
+      wi = c[k] * wi - s[k] * lk;
+    }
+    if (!diagonal(li, wi, i)) return false;
+  }
+  return true;
 }
-
-}  // namespace
 
 void Cholesky::update(const Vector& v) {
   if (v.size() != size()) {
     throw std::invalid_argument("Cholesky::update: size mismatch");
   }
   Vector w = v;
-  rank1_update_sweep(l_, w);
+  rank1_sweep(w, false);
 }
 
 void Cholesky::downdate(const Vector& v) {
-  const std::size_t n = size();
-  if (v.size() != n) {
+  if (v.size() != size()) {
     throw std::invalid_argument("Cholesky::downdate: size mismatch");
   }
-  // Dry-run the hyperbolic sweep on copies: the factor must be left
+  // Dry-run the hyperbolic sweep on a copy: the factor must be left
   // untouched when A - v v^T loses positive definiteness.
-  Matrix l = l_;
+  Cholesky swept = *this;
   Vector w = v;
-  for (std::size_t k = 0; k < n; ++k) {
-    const double r2 = (l(k, k) - w[k]) * (l(k, k) + w[k]);
-    if (!(r2 > 0.0) || !std::isfinite(r2)) {
-      throw std::runtime_error(
-          "Cholesky::downdate: matrix would lose positive definiteness");
-    }
-    const double r = std::sqrt(r2);
-    const double c = r / l(k, k);
-    const double s = w[k] / l(k, k);
-    l(k, k) = r;
-    for (std::size_t i = k + 1; i < n; ++i) {
-      l(i, k) = (l(i, k) - s * w[i]) / c;
-      w[i] = c * w[i] - s * l(i, k);
-    }
+  if (!swept.rank1_sweep(w, true)) {
+    throw std::runtime_error(
+        "Cholesky::downdate: matrix would lose positive definiteness");
   }
-  l_ = std::move(l);
+  *this = std::move(swept);
 }
 
-void Cholesky::append_row(const Vector& cross, double diag) {
+void Cholesky::reserve_next_row() {
+  if (org_ + n_ + 1 <= stride_) return;
+  const std::size_t want = n_ + 1 + growth_room(n_);
+  if (stride_ >= want) {
+    // Slide the factor back to the buffer's corner. Each row moves to an
+    // earlier address than any row after it is read from.
+    for (std::size_t i = 0; i < n_; ++i) {
+      const double* from = row(i);
+      std::copy(from, from + i + 1, buf_.data() + i * stride_);
+    }
+  } else {
+    std::vector<double> grown(want * want, 0.0);
+    for (std::size_t i = 0; i < n_; ++i) {
+      std::copy(row(i), row(i) + i + 1, grown.data() + i * want);
+    }
+    buf_ = std::move(grown);
+    stride_ = want;
+  }
+  org_ = 0;
+}
+
+void Cholesky::append_row(std::span<const double> cross, double diag) {
   const std::size_t n = size();
   if (cross.size() != n) {
     throw std::invalid_argument("Cholesky::append_row: size mismatch");
   }
-  const Vector l_row = solve_lower(cross);
-  const double d2 = diag - dot(l_row, l_row);
+  reserve_next_row();
+  // Row n is past the factor until it is committed, so a failure below
+  // leaves the factor as it was.
+  double* l_row = buf_.data() + (org_ + n) * stride_ + org_;
+  std::copy(cross.begin(), cross.end(), l_row);
+  forward_rows(n, l_row);
+  const double d2 = diag - dot({l_row, n}, {l_row, n});
   if (!(d2 > 0.0) || !std::isfinite(d2)) {
     throw std::runtime_error(
         "Cholesky::append_row: extended matrix is not positive definite");
   }
-  Matrix grown(n + 1, n + 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j <= i; ++j) grown(i, j) = l_(i, j);
-  }
-  for (std::size_t j = 0; j < n; ++j) grown(n, j) = l_row[j];
-  grown(n, n) = std::sqrt(d2);
-  l_ = std::move(grown);
+  l_row[n] = std::sqrt(d2);
+  ++n_;
 }
 
 void Cholesky::drop_first() {
@@ -144,28 +259,81 @@ void Cholesky::drop_first() {
   }
   // With L = [[l00, 0], [l10, L11]], the trailing block of A satisfies
   // A22 = l10 l10^T + L11 L11^T, so chol(A22) is L11 rank-1 updated by l10.
+  // L11 starts one row and one column past the origin: move the origin
+  // there and sweep it in place.
   Vector v(n - 1);
-  for (std::size_t i = 1; i < n; ++i) v[i - 1] = l_(i, 0);
-  Matrix sub(n - 1, n - 1);
-  for (std::size_t i = 1; i < n; ++i) {
-    for (std::size_t j = 1; j <= i; ++j) sub(i - 1, j - 1) = l_(i, j);
-  }
-  rank1_update_sweep(sub, v);
-  l_ = std::move(sub);
+  for (std::size_t i = 1; i < n; ++i) v[i - 1] = row(i)[0];
+  ++org_;
+  --n_;
+  rank1_sweep(v, false);
 }
 
 Vector Cholesky::solve_lower(const Vector& b) const {
+  Vector x = b;
+  solve_lower_in_place(x);
+  return x;
+}
+
+void Cholesky::solve_lower_in_place(std::span<double> b,
+                                    std::size_t rhs) const {
   const std::size_t n = size();
-  if (b.size() != n) {
+  if (rhs == 0 || b.size() != n * rhs) {
     throw std::invalid_argument("Cholesky::solve_lower: size mismatch");
   }
-  Vector x(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double s = b[i];
-    for (std::size_t k = 0; k < i; ++k) s -= l_(i, k) * x[k];
-    x[i] = s / l_(i, i);
+  if (rhs == 1) {
+    forward_rows(n, b.data());
+    return;
   }
-  return x;
+  // Many right-hand sides: a tile of kTileRows rows by kTileCols right-hand
+  // sides keeps its running sums in registers while k runs over the rows
+  // already solved, so a factor entry is loaded once per tile row and a
+  // solved value once per tile. Every sum still subtracts in ascending k.
+  double* x = b.data();
+  const auto subtract = [&](std::size_t i, std::size_t k, std::size_t j0) {
+    const double lik = row(i)[k];
+    const double* xk = x + k * rhs;
+    double* xi = x + i * rhs;
+    for (std::size_t j = j0; j < rhs; ++j) xi[j] -= lik * xk[j];
+  };
+  const auto finish_row = [&](std::size_t i, std::size_t k0) {
+    for (std::size_t k = k0; k < i; ++k) subtract(i, k, 0);
+    const double lii = row(i)[i];
+    double* xi = x + i * rhs;
+    for (std::size_t j = 0; j < rhs; ++j) xi[j] /= lii;
+  };
+  std::size_t i0 = 0;
+  for (; i0 + kTileRows <= n; i0 += kTileRows) {
+    const double* l[kTileRows];
+    for (std::size_t r = 0; r < kTileRows; ++r) l[r] = row(i0 + r);
+    std::size_t j0 = 0;
+    for (; j0 + kTileCols <= rhs; j0 += kTileCols) {
+      double acc[kTileRows][kTileCols];
+      for (std::size_t r = 0; r < kTileRows; ++r) {
+        for (std::size_t c = 0; c < kTileCols; ++c) {
+          acc[r][c] = x[(i0 + r) * rhs + j0 + c];
+        }
+      }
+      for (std::size_t k = 0; k < i0; ++k) {
+        const double* xk = x + k * rhs + j0;
+        for (std::size_t r = 0; r < kTileRows; ++r) {
+          const double lk = l[r][k];
+          for (std::size_t c = 0; c < kTileCols; ++c) acc[r][c] -= lk * xk[c];
+        }
+      }
+      for (std::size_t r = 0; r < kTileRows; ++r) {
+        for (std::size_t c = 0; c < kTileCols; ++c) {
+          x[(i0 + r) * rhs + j0 + c] = acc[r][c];
+        }
+      }
+    }
+    // Right-hand sides past the last full tile.
+    for (std::size_t r = 0; r < kTileRows; ++r) {
+      for (std::size_t k = 0; k < i0; ++k) subtract(i0 + r, k, j0);
+    }
+    // The tile rows' own triangle: row i needs the rows of the tile above.
+    for (std::size_t i = i0; i < i0 + kTileRows; ++i) finish_row(i, i0);
+  }
+  for (std::size_t i = i0; i < n; ++i) finish_row(i, 0);
 }
 
 Vector Cholesky::solve_upper(const Vector& b) const {
@@ -175,9 +343,13 @@ Vector Cholesky::solve_upper(const Vector& b) const {
   }
   Vector x(n);
   for (std::size_t ii = n; ii-- > 0;) {
+    // Column ii below the diagonal, one buffer row apart per entry.
+    std::size_t at = (org_ + ii + 1) * stride_ + org_ + ii;
     double s = b[ii];
-    for (std::size_t k = ii + 1; k < n; ++k) s -= l_(k, ii) * x[k];
-    x[ii] = s / l_(ii, ii);
+    for (std::size_t k = ii + 1; k < n; ++k, at += stride_) {
+      s -= buf_[at] * x[k];
+    }
+    x[ii] = s / row(ii)[ii];
   }
   return x;
 }
@@ -188,7 +360,7 @@ Vector Cholesky::solve(const Vector& b) const {
 
 double Cholesky::log_determinant() const noexcept {
   double s = 0.0;
-  for (std::size_t i = 0; i < size(); ++i) s += std::log(l_(i, i));
+  for (std::size_t i = 0; i < size(); ++i) s += std::log(row(i)[i]);
   return 2.0 * s;
 }
 

@@ -4,12 +4,19 @@
 #pragma once
 
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "linalg/matrix.hpp"
 
 namespace autra::linalg {
 
 /// Lower-triangular Cholesky factor of a symmetric positive-definite matrix.
+///
+/// The factor lives in a square row-major buffer wider than the factor, with
+/// entry (0, 0) at an origin on the buffer's diagonal: drop_first() moves the
+/// origin down one row and column and append_row() writes the row after the
+/// last, so a sliding observation window never rebuilds the factor.
 class Cholesky {
  public:
   /// Factorises `a` (must be square, symmetric, positive definite).
@@ -29,10 +36,10 @@ class Cholesky {
       double* applied_jitter = nullptr);
 
   /// Wraps an externally produced lower-triangular factor (e.g. one read
-  /// back from a model snapshot). Entries above the diagonal are forced to
-  /// zero. Throws std::invalid_argument unless `l` is square with strictly
+  /// back from a model snapshot). Entries above the diagonal are ignored.
+  /// Throws std::invalid_argument unless `l` is square with strictly
   /// positive, finite diagonal entries.
-  [[nodiscard]] static Cholesky from_lower(Matrix l);
+  [[nodiscard]] static Cholesky from_lower(const Matrix& l);
 
   /// Rank-1 update: after the call this is the factor of A + v v^T, in
   /// O(n^2) (standard `cholupdate` Givens sweep). Throws
@@ -48,20 +55,28 @@ class Cholesky {
 
   /// Factor extension: after the call this is the factor of the bordered
   /// matrix [[A, cross], [cross^T, diag]] — a new observation appended
-  /// without refactorising, in O(n^2) (one triangular solve). Throws
-  /// std::invalid_argument on size mismatch and std::runtime_error when
-  /// the extended matrix is not positive definite (the factor is left
-  /// untouched so the caller can fall back to a full refactorisation).
-  void append_row(const Vector& cross, double diag);
+  /// without refactorising, in O(n^2) (one triangular solve written straight
+  /// into the new row). Throws std::invalid_argument on size mismatch and
+  /// std::runtime_error when the extended matrix is not positive definite
+  /// (the factor is left untouched so the caller can fall back to a full
+  /// refactorisation).
+  void append_row(std::span<const double> cross, double diag);
 
   /// Removes the first row/column of A (the oldest point of a sliding
   /// observation window): the trailing (n-1)x(n-1) block is rank-1
-  /// *updated* with the first column's sub-diagonal entries, in O(n^2).
-  /// Throws std::logic_error when the factor has fewer than two rows.
+  /// *updated* in place with the first column's sub-diagonal entries, in
+  /// O(n^2). Throws std::logic_error when the factor has fewer than two
+  /// rows.
   void drop_first();
 
   /// Solves L x = b (forward substitution).
   [[nodiscard]] Vector solve_lower(const Vector& b) const;
+
+  /// Solves L X = B in place for `rhs` right-hand sides: `b` holds B as an
+  /// n x rhs row-major block and receives X. Every entry is the sum
+  /// solve_lower() forms, in the same order, so both agree bit for bit.
+  /// Throws std::invalid_argument unless b.size() == n * rhs.
+  void solve_lower_in_place(std::span<double> b, std::size_t rhs = 1) const;
 
   /// Solves L^T x = b (back substitution).
   [[nodiscard]] Vector solve_upper(const Vector& b) const;
@@ -72,12 +87,38 @@ class Cholesky {
   /// log|A| = 2 * sum(log L_ii).
   [[nodiscard]] double log_determinant() const noexcept;
 
-  [[nodiscard]] const Matrix& lower() const noexcept { return l_; }
-  [[nodiscard]] std::size_t size() const noexcept { return l_.rows(); }
+  /// The factor as a dense n x n matrix, zero above the diagonal.
+  [[nodiscard]] Matrix lower() const;
+  [[nodiscard]] std::size_t size() const noexcept { return n_; }
 
  private:
-  explicit Cholesky(Matrix l) : l_(std::move(l)) {}
-  Matrix l_;
+  /// An n x n factor at origin 0, in a buffer with room to grow.
+  explicit Cholesky(std::size_t n);
+
+  /// Entries (i, 0..i) of row i, contiguous.
+  [[nodiscard]] const double* row(std::size_t i) const noexcept {
+    return buf_.data() + (org_ + i) * stride_ + org_;
+  }
+  [[nodiscard]] double* row(std::size_t i) noexcept {
+    return buf_.data() + (org_ + i) * stride_ + org_;
+  }
+
+  /// Forward substitution of one right-hand side against rows [0, n):
+  /// x[i] = (x[i] - sum_{k<i} L(i,k) x[k]) / L(i,i), each sum in ascending k.
+  void forward_rows(std::size_t n, double* x) const noexcept;
+
+  /// The Givens (update) or hyperbolic (downdate) sweep of L L^T +- v v^T,
+  /// row by row; consumes `v`. Returns false, with the factor partly swept,
+  /// when a downdate loses positive definiteness.
+  bool rank1_sweep(Vector& v, bool downdate);
+
+  /// Makes room for row and column n_ past the current origin.
+  void reserve_next_row();
+
+  std::vector<double> buf_;  ///< stride_ x stride_, row-major.
+  std::size_t stride_ = 0;
+  std::size_t org_ = 0;  ///< Buffer row and column of entry (0, 0).
+  std::size_t n_ = 0;
 };
 
 }  // namespace autra::linalg

@@ -151,16 +151,15 @@ double norm2(std::span<const double> a) noexcept {
   return std::sqrt(s);
 }
 
-double squared_distance(std::span<const double> a, std::span<const double> b) {
-  if (a.size() != b.size()) {
-    throw std::invalid_argument("squared_distance: length mismatch");
+Matrix squared_distances(const Matrix& x) {
+  const std::size_t n = x.rows();
+  Matrix d2(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      d2(i, j) = squared_distance(x.row(i), x.row(j));
+    }
   }
-  double s = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const double d = a[i] - b[i];
-    s += d * d;
-  }
-  return s;
+  return d2;
 }
 
 }  // namespace autra::linalg

@@ -7,6 +7,7 @@
 #include <cstddef>
 #include <initializer_list>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 namespace autra::linalg {
@@ -100,8 +101,25 @@ class Matrix {
 /// Euclidean norm.
 [[nodiscard]] double norm2(std::span<const double> a) noexcept;
 
-/// Squared Euclidean distance between two equal-length vectors.
-[[nodiscard]] double squared_distance(std::span<const double> a,
-                                      std::span<const double> b);
+/// Squared Euclidean distance between two equal-length vectors; throws
+/// std::invalid_argument on length mismatch. Inline: the Gram and
+/// one-point cross-covariance loops call it once per pair.
+[[nodiscard]] inline double squared_distance(std::span<const double> a,
+                                             std::span<const double> b) {
+  if (a.size() != b.size()) {
+    throw std::invalid_argument("squared_distance: length mismatch");
+  }
+  double s = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const double d = a[i] - b[i];
+    s += d * d;
+  }
+  return s;
+}
+
+/// Squared distances between the rows of `x`: entry (i, j) for j < i is
+/// squared_distance(x.row(i), x.row(j)); the diagonal and the upper
+/// triangle are zero.
+[[nodiscard]] Matrix squared_distances(const Matrix& x);
 
 }  // namespace autra::linalg

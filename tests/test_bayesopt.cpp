@@ -11,6 +11,15 @@
 namespace autra::bo {
 namespace {
 
+/// The rows of a candidate block as configs, for comparisons.
+std::vector<Config> rows(const ConfigBlock& block) {
+  std::vector<Config> out;
+  for (std::size_t r = 0; r < block.size(); ++r) {
+    out.emplace_back(block[r].begin(), block[r].end());
+  }
+  return out;
+}
+
 TEST(SearchSpace, ValidatesBounds) {
   EXPECT_THROW(SearchSpace({}, {}), std::invalid_argument);
   EXPECT_THROW(SearchSpace({1, 2}, {3}), std::invalid_argument);
@@ -45,7 +54,7 @@ TEST(SearchSpace, Cardinality) {
 
 TEST(SearchSpace, EnumerateCompleteAndOrdered) {
   const SearchSpace s({1, 1}, {2, 3});
-  const auto all = s.enumerate();
+  const auto all = rows(s.enumerate());
   ASSERT_EQ(all.size(), 6u);
   EXPECT_EQ(all.front(), (Config{1, 1}));
   EXPECT_EQ(all.back(), (Config{2, 3}));
@@ -63,7 +72,7 @@ TEST(SearchSpace, EnumerateTooLargeThrows) {
 TEST(SearchSpace, SampleWithinBounds) {
   const SearchSpace s({1, 5, 10}, {3, 9, 60});
   std::mt19937_64 rng(3);
-  for (const Config& c : s.sample(200, rng)) {
+  for (const Config& c : rows(s.sample(200, rng))) {
     EXPECT_TRUE(s.contains(c));
   }
 }
@@ -77,7 +86,7 @@ TEST(SearchSpace, CandidatesSmallSpaceEnumerates) {
 TEST(SearchSpace, CandidatesLargeSpaceIncludesCorners) {
   const SearchSpace s(6, 1, 60);
   std::mt19937_64 rng(3);
-  const auto cands = s.candidates(64, rng);
+  const auto cands = rows(s.candidates(64, rng));
   EXPECT_LE(cands.size(), 66u);
   EXPECT_NE(std::find(cands.begin(), cands.end(), Config(6, 1)), cands.end());
   EXPECT_NE(std::find(cands.begin(), cands.end(), Config(6, 60)), cands.end());
@@ -90,7 +99,7 @@ TEST(SearchSpace, ToFeatures) {
 TEST(SearchSpace, LocalCandidatesWithinSpaceAndAdjacent) {
   const SearchSpace s({1, 1, 1}, {10, 10, 10});
   const Config center{5, 5, 5};
-  const auto local = s.local_candidates(center, 2);
+  const auto local = rows(s.local_candidates(center, 2));
   EXPECT_FALSE(local.empty());
   for (const Config& c : local) {
     EXPECT_TRUE(s.contains(c));
@@ -114,7 +123,7 @@ TEST(SearchSpace, LocalCandidatesWithinSpaceAndAdjacent) {
 
 TEST(SearchSpace, AxisCandidatesSweepEachDimension) {
   const SearchSpace s({1, 1}, {61, 61});
-  const auto axis = s.axis_candidates({1, 1}, 7);
+  const auto axis = rows(s.axis_candidates({1, 1}, 7));
   for (const Config& c : axis) {
     EXPECT_TRUE(s.contains(c));
     // Exactly one coordinate differs from the center.
@@ -131,7 +140,8 @@ TEST(SearchSpace, AxisCandidatesSweepEachDimension) {
 
 TEST(SearchSpace, AxisCandidatesExcludeCenterAndClamp) {
   const SearchSpace s({2, 2}, {10, 10});
-  const auto axis = s.axis_candidates({5, 100}, 5);  // center clamped to 10
+  // The center is clamped to (5, 10).
+  const auto axis = rows(s.axis_candidates({5, 100}, 5));
   for (const Config& c : axis) {
     EXPECT_TRUE(s.contains(c));
     EXPECT_NE(c, (Config{5, 10}));
@@ -140,7 +150,7 @@ TEST(SearchSpace, AxisCandidatesExcludeCenterAndClamp) {
 
 TEST(SearchSpace, LocalCandidatesAtCornerAreClamped) {
   const SearchSpace s({1, 1}, {10, 10});
-  const auto local = s.local_candidates({1, 1}, 2);
+  const auto local = rows(s.local_candidates({1, 1}, 2));
   for (const Config& c : local) EXPECT_TRUE(s.contains(c));
   // Downward moves from the corner are dropped, upward ones kept.
   EXPECT_NE(std::find(local.begin(), local.end(), Config({2, 1})),
@@ -313,6 +323,163 @@ TEST_P(BayesOptSeeds, FindsNearOptimum) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BayesOptSeeds,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u));
+
+// --------------------------------------------------------------------------
+// Bit-exact reference oracles: the std::set candidate generators the flat
+// blocks replaced. Same rows, same order, and the same RNG state after.
+
+std::vector<Config> reference_sample(const SearchSpace& s, std::size_t n,
+                                     std::mt19937_64& rng) {
+  std::vector<Config> out;
+  for (std::size_t k = 0; k < n; ++k) {
+    Config c(s.dims());
+    for (std::size_t i = 0; i < s.dims(); ++i) {
+      std::uniform_int_distribution<int> dist(s.lower()[i], s.upper()[i]);
+      c[i] = dist(rng);
+    }
+    out.push_back(std::move(c));
+  }
+  return out;
+}
+
+std::vector<Config> reference_candidates(const SearchSpace& s,
+                                         std::size_t budget,
+                                         std::mt19937_64& rng) {
+  if (s.cardinality() <= budget) {
+    std::vector<Config> all;
+    Config c = s.lower();
+    while (true) {
+      all.push_back(c);
+      std::size_t i = s.dims();
+      while (i-- > 0) {
+        if (c[i] < s.upper()[i]) {
+          ++c[i];
+          for (std::size_t j = i + 1; j < s.dims(); ++j) c[j] = s.lower()[j];
+          break;
+        }
+        if (i == 0) return all;
+      }
+    }
+  }
+  std::set<Config> unique;
+  unique.insert(s.lower());
+  unique.insert(s.upper());
+  for (const Config& c : reference_sample(s, budget, rng)) unique.insert(c);
+  return {unique.begin(), unique.end()};
+}
+
+std::vector<Config> reference_local(const SearchSpace& s, const Config& center,
+                                    int radius) {
+  const Config c = s.clamp(center);
+  std::set<Config> unique;
+  for (std::size_t i = 0; i < s.dims(); ++i) {
+    for (int d = 1; d <= radius; ++d) {
+      for (int sign : {-1, 1}) {
+        Config m = c;
+        m[i] += sign * d;
+        if (s.contains(m)) unique.insert(std::move(m));
+      }
+    }
+  }
+  for (std::size_t i = 0; i < s.dims(); ++i) {
+    for (std::size_t j = i + 1; j < s.dims(); ++j) {
+      for (int si : {-1, 1}) {
+        for (int sj : {-1, 1}) {
+          Config m = c;
+          m[i] += si;
+          m[j] += sj;
+          if (s.contains(m)) unique.insert(std::move(m));
+        }
+      }
+    }
+  }
+  for (int sign : {-1, 1}) {
+    Config m = c;
+    for (int& k : m) k += sign;
+    if (s.contains(m)) unique.insert(std::move(m));
+  }
+  return {unique.begin(), unique.end()};
+}
+
+std::vector<Config> reference_axis(const SearchSpace& s, const Config& center,
+                                   int levels) {
+  const Config c = s.clamp(center);
+  std::set<Config> unique;
+  for (std::size_t i = 0; i < s.dims(); ++i) {
+    const int lo = s.lower()[i];
+    const int hi = s.upper()[i];
+    const int steps = std::max(1, levels - 1);
+    for (int k = 0; k < levels; ++k) {
+      Config m = c;
+      m[i] = lo + static_cast<int>(std::llround(
+                      static_cast<double>(hi - lo) * k / steps));
+      if (m != c) unique.insert(std::move(m));
+    }
+  }
+  return {unique.begin(), unique.end()};
+}
+
+TEST(CandidateOracle, EnumeratePathMatchesSetGenerator) {
+  const SearchSpace s({1, 2, 3}, {16, 9, 12});  // 1280 points <= budget
+  std::mt19937_64 flat_rng(21);
+  std::mt19937_64 ref_rng(21);
+  EXPECT_EQ(rows(s.candidates(4096, flat_rng)),
+            reference_candidates(s, 4096, ref_rng));
+  EXPECT_TRUE(flat_rng == ref_rng);
+}
+
+TEST(CandidateOracle, SampledPathMatchesSetGenerator) {
+  // Narrow and wide coordinate ranges (one and two radix digits), a small
+  // space where samples repeat and an 8-dimensional one where they do not.
+  const SearchSpace spaces[] = {SearchSpace({1, 1, 1, 1}, {6, 6, 6, 6}),
+                                SearchSpace(Config(8, 2), Config(8, 24)),
+                                SearchSpace({-300, 0, 5}, {400, 1, 1000})};
+  for (const SearchSpace& s : spaces) {
+    for (const std::size_t budget : {std::size_t{64}, std::size_t{1000}}) {
+      if (s.cardinality() <= budget) continue;
+      std::mt19937_64 flat_rng(22 + budget);
+      std::mt19937_64 ref_rng(22 + budget);
+      EXPECT_EQ(rows(s.candidates(budget, flat_rng)),
+                reference_candidates(s, budget, ref_rng))
+          << s.dims() << " dims, budget " << budget;
+      EXPECT_TRUE(flat_rng == ref_rng);
+      EXPECT_EQ(rows(s.sample(budget, flat_rng)),
+                reference_sample(s, budget, ref_rng));
+      EXPECT_TRUE(flat_rng == ref_rng);
+    }
+  }
+}
+
+TEST(CandidateOracle, LocalAndAxisMovesMatchSetGenerator) {
+  const SearchSpace s({1, 1, 1, 1, 1}, {12, 30, 12, 4, 12});
+  for (const Config& center : {Config{1, 1, 1, 1, 1}, Config{6, 15, 12, 2, 7},
+                               Config{0, 40, 5, 9, -3}}) {
+    for (const int radius : {1, 2, 3}) {
+      EXPECT_EQ(rows(s.local_candidates(center, radius)),
+                reference_local(s, center, radius));
+    }
+    for (const int levels : {1, 2, 8}) {
+      EXPECT_EQ(rows(s.axis_candidates(center, levels)),
+                reference_axis(s, center, levels));
+    }
+  }
+}
+
+TEST(ConfigBlock, SortedContainsFindsExactlyTheRows) {
+  ConfigBlock block(2);
+  for (const Config& c : {Config{3, 1}, Config{1, 2}, Config{3, 1},
+                          Config{-4, 9}}) {
+    block.push_back(c);
+  }
+  block.sort_unique();
+  EXPECT_EQ(rows(block), (std::vector<Config>{{-4, 9}, {1, 2}, {3, 1}}));
+  for (const Config& c : rows(block)) EXPECT_TRUE(block.sorted_contains(c));
+  for (const Config& c : {Config{0, 0}, Config{3, 2}, Config{-5, 9},
+                          Config{4, 0}}) {
+    EXPECT_FALSE(block.sorted_contains(c));
+  }
+  EXPECT_THROW(block.push_back(Config{1, 2, 3}), std::invalid_argument);
+}
 
 }  // namespace
 }  // namespace autra::bo

@@ -69,12 +69,13 @@ double surface(const bo::Config& c) {
   return s;
 }
 
-std::vector<bo::Config> bo_trajectory(int threads) {
+std::vector<bo::Config> bo_trajectory(const bo::SearchSpace& space,
+                                      int threads) {
   bo::BayesOptConfig cfg;
   cfg.gp.threads = threads;
-  bo::BayesOpt opt(bo::SearchSpace(3, 1, 16), cfg);
-  opt.observe({1, 1, 1}, surface({1, 1, 1}));
-  opt.observe({16, 16, 16}, surface({16, 16, 16}));
+  bo::BayesOpt opt(space, cfg);
+  opt.observe(space.lower(), surface(space.lower()));
+  opt.observe(space.upper(), surface(space.upper()));
   std::vector<bo::Config> trajectory;
   for (int i = 0; i < 12; ++i) {
     const bo::Suggestion next = opt.suggest();
@@ -85,9 +86,15 @@ std::vector<bo::Config> bo_trajectory(int threads) {
 }
 
 TEST(Determinism, BayesOptSuggestionsIdenticalAcrossThreadCounts) {
-  const std::vector<bo::Config> serial = bo_trajectory(1);
-  for (const int threads : kThreadCounts) {
-    EXPECT_EQ(serial, bo_trajectory(threads)) << "threads=" << threads;
+  // 16^3 = 4096 points fit the default candidate budget, so candidates are
+  // enumerated; 16^6 do not, so they are sampled and deduplicated.
+  for (const bo::SearchSpace& space :
+       {bo::SearchSpace(3, 1, 16), bo::SearchSpace(6, 1, 16)}) {
+    const std::vector<bo::Config> serial = bo_trajectory(space, 1);
+    for (const int threads : kThreadCounts) {
+      EXPECT_EQ(serial, bo_trajectory(space, threads))
+          << space.dims() << " dims, threads=" << threads;
+    }
   }
 }
 

@@ -6,11 +6,21 @@
 #include "gp/normal.hpp"
 
 #include <cmath>
+#include <limits>
+#include <ostream>
 #include <random>
+#include <span>
+#include <string>
 
 #include <gtest/gtest.h>
 
 namespace autra::gp {
+
+// gtest prints a parameter it has no printer for as raw object bytes, and
+// those bytes become part of the parameterised test names; ADL finds this
+// one, so the names read (matern52, 1) and so on.
+void PrintTo(KernelKind kind, std::ostream* os) { *os << to_string(kind); }
+
 namespace {
 
 using linalg::Matrix;
@@ -294,8 +304,8 @@ TEST(GpRegressor, BatchPredictMatchesPointwise) {
   ASSERT_EQ(batch.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
     const Prediction p = gp.predict(x.row(i));
-    EXPECT_DOUBLE_EQ(batch[i].mean, p.mean);
-    EXPECT_DOUBLE_EQ(batch[i].variance, p.variance);
+    EXPECT_EQ(batch[i].mean, p.mean);
+    EXPECT_EQ(batch[i].variance, p.variance);
   }
 }
 
@@ -382,6 +392,237 @@ TEST(ExpectedImprovement, NeverNegative) {
       }
     }
   }
+}
+
+// --------------------------------------------------------------------------
+// Bit-exact reference oracle: the per-point posterior as it was computed
+// before prediction was batched (kernel pairs, a one-row forward solve, two
+// dot products), rebuilt from the regressor's snapshot.
+
+double reference_kernel(const GpSnapshot& s, std::span<const double> a,
+                        std::span<const double> b) {
+  double d2 = 0.0;
+  for (std::size_t j = 0; j < a.size(); ++j) {
+    const double diff = a[j] - b[j];
+    d2 += diff * diff;
+  }
+  const double sv = s.signal_variance;
+  const double ls = s.length_scale;
+  switch (s.kernel) {
+    case KernelKind::kMatern52: {
+      const double r = std::sqrt(d2) / ls;
+      const double t = std::sqrt(5.0) * r;
+      return sv * (1.0 + t + t * t / 3.0) * std::exp(-t);
+    }
+    case KernelKind::kMatern32: {
+      const double r = std::sqrt(d2) / ls;
+      const double t = std::sqrt(3.0) * r;
+      return sv * (1.0 + t) * std::exp(-t);
+    }
+    case KernelKind::kRbf:
+      return sv * std::exp(-d2 / (2.0 * ls * ls));
+  }
+  return 0.0;
+}
+
+Vector reference_forward(const Matrix& l, const Vector& b) {
+  Vector x(b.size());
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    double s = b[i];
+    for (std::size_t k = 0; k < i; ++k) s -= l(i, k) * x[k];
+    x[i] = s / l(i, i);
+  }
+  return x;
+}
+
+Vector reference_backward(const Matrix& l, const Vector& b) {
+  const std::size_t n = b.size();
+  Vector x(n);
+  for (std::size_t ii = n; ii-- > 0;) {
+    double s = b[ii];
+    for (std::size_t k = ii + 1; k < n; ++k) s -= l(k, ii) * x[k];
+    x[ii] = s / l(ii, ii);
+  }
+  return x;
+}
+
+double reference_dot(const Vector& a, const Vector& b) {
+  double s = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) s += a[i] * b[i];
+  return s;
+}
+
+Prediction reference_predict(const GpSnapshot& s,
+                             std::span<const double> x_star) {
+  const std::size_t n = s.x.rows();
+  const std::size_t d = s.x.cols();
+  Vector offset(d), scale(d);
+  for (std::size_t j = 0; j < d; ++j) {
+    offset[j] = s.x_lo[j];
+    scale[j] = s.x_hi[j] > s.x_lo[j] ? s.x_hi[j] - s.x_lo[j] : 1.0;
+  }
+  double y_mean = 0.0;
+  for (double v : s.y) y_mean += v;
+  y_mean /= static_cast<double>(n);
+  double var = 0.0;
+  for (double v : s.y) var += (v - y_mean) * (v - y_mean);
+  var /= static_cast<double>(n);
+  const double y_std = var > 1e-12 ? std::sqrt(var) : 1.0;
+  Vector y(n);
+  for (std::size_t i = 0; i < n; ++i) y[i] = (s.y[i] - y_mean) / y_std;
+  const Vector alpha = reference_backward(s.l, reference_forward(s.l, y));
+
+  Vector z(d);
+  for (std::size_t j = 0; j < d; ++j) z[j] = (x_star[j] - offset[j]) / scale[j];
+  Vector k_star(n);
+  Vector xi(d);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < d; ++j) {
+      xi[j] = (s.x(i, j) - offset[j]) / scale[j];
+    }
+    k_star[i] = reference_kernel(s, xi, z);
+  }
+  const double mean_n = reference_dot(k_star, alpha);
+  const Vector v = reference_forward(s.l, k_star);
+  const double var_n = std::max(s.signal_variance - reference_dot(v, v), 0.0);
+  return {mean_n * y_std + y_mean, var_n * y_std * y_std};
+}
+
+/// Predicts `points` (row-major) one by one and as one block, and checks
+/// both against the reference, bit for bit.
+void expect_matches_reference(const GpRegressor& gp, const Matrix& points,
+                              const std::string& where) {
+  const GpSnapshot snap = gp.snapshot();
+  PredictWorkspace ws;
+  std::vector<Prediction> batch(points.rows());
+  gp.predict_batch(points.data(), batch, ws);
+  for (std::size_t c = 0; c < points.rows(); ++c) {
+    const Prediction want = reference_predict(snap, points.row(c));
+    const Prediction one = gp.predict(points.row(c));
+    EXPECT_EQ(one.mean, want.mean) << where << " point " << c;
+    EXPECT_EQ(one.variance, want.variance) << where << " point " << c;
+    EXPECT_EQ(batch[c].mean, want.mean) << where << " point " << c;
+    EXPECT_EQ(batch[c].variance, want.variance) << where << " point " << c;
+  }
+}
+
+TEST(GpPredictOracle, BatchAndPointMatchReferenceAfterObserveAndRestore) {
+  constexpr std::size_t kDims = 3;
+  std::mt19937_64 rng(31);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  const auto draw = [&] {
+    std::vector<double> p(kDims);
+    for (double& v : p) v = 1.0 + 9.0 * unit(rng);
+    return p;
+  };
+  const auto target = [](std::span<const double> p) {
+    return std::sin(p[0]) + 0.3 * p[1] - 0.05 * p[2] * p[2];
+  };
+  for (const KernelKind kind :
+       {KernelKind::kMatern52, KernelKind::kMatern32, KernelKind::kRbf}) {
+    const std::string name = to_string(kind);
+    GpConfig cfg;
+    cfg.kernel = kind;
+    cfg.max_observations = 24;
+    cfg.threads = 1;
+    GpRegressor gp(cfg);
+    // Rows 0 and 1 pin the box corners, so later points stay inside it and
+    // observe() takes the incremental path.
+    Matrix x(20, kDims);
+    Vector y(20);
+    for (std::size_t i = 0; i < x.rows(); ++i) {
+      const std::vector<double> p =
+          i < 2 ? std::vector<double>(kDims, i == 0 ? 1.0 : 10.0) : draw();
+      std::copy(p.begin(), p.end(), x.row(i).begin());
+      y[i] = target(p);
+    }
+    gp.fit(x, y);
+    for (int k = 0; k < 12; ++k) {
+      const std::vector<double> p = draw();
+      gp.observe(p, target(p));
+    }
+    ASSERT_GT(gp.fit_stats().window_evictions, 0u) << name;
+    ASSERT_GT(gp.fit_stats().incremental_updates, 0u) << name;
+
+    // 37 points: not a multiple of the solve's 8-row block.
+    Matrix points(37, kDims);
+    for (std::size_t c = 0; c < points.rows(); ++c) {
+      const std::vector<double> p = draw();
+      std::copy(p.begin(), p.end(), points.row(c).begin());
+    }
+    expect_matches_reference(gp, points, name + " after observe");
+
+    GpRegressor restored(cfg);
+    restored.restore(gp.snapshot());
+    expect_matches_reference(restored, points, name + " after restore");
+  }
+}
+
+TEST(GpPredictOracle, BatchValidatesItsInput) {
+  GpRegressor gp;
+  PredictWorkspace ws;
+  Prediction out[2];
+  const std::vector<double> rows{1.0, 2.0};
+  EXPECT_THROW(gp.predict_batch(rows, out, ws), std::logic_error);
+  gp.fit(Matrix{{0.0}, {1.0}, {2.0}}, Vector{0.0, 1.0, 0.5});
+  EXPECT_THROW(gp.predict_batch(std::vector<double>{1.0}, out, ws),
+               std::invalid_argument);
+  EXPECT_NO_THROW(gp.predict_batch(rows, out, ws));
+  EXPECT_NO_THROW(gp.predict_batch({}, {}, ws));
+  EXPECT_TRUE(gp.predict(Matrix(0, 1)).empty());
+}
+
+// --------------------------------------------------------------------------
+// Non-finite input is rejected at the boundary, before any state changes.
+
+void expect_same_state(const GpRegressor& gp, const GpSnapshot& before,
+                       const FitStats& stats_before) {
+  const GpSnapshot after = gp.snapshot();
+  EXPECT_TRUE(after.x == before.x);
+  EXPECT_EQ(after.y, before.y);
+  EXPECT_TRUE(after.l == before.l);
+  EXPECT_EQ(gp.fit_stats(), stats_before);
+}
+
+TEST(GpRegressor, NonFiniteInputThrowsBeforeChangingState) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  GpConfig cfg;
+  cfg.max_observations = 4;
+  GpRegressor gp(cfg);
+  const Matrix x{{0.0, 0.0}, {4.0, 4.0}, {1.0, 3.0}, {2.0, 1.0}};
+  const Vector y{0.5, -0.5, 0.25, 1.0};
+
+  GpRegressor fresh(cfg);
+  EXPECT_THROW(fresh.fit(x, Vector{0.5, nan, 0.25, 1.0}),
+               std::invalid_argument);
+  EXPECT_FALSE(fresh.is_fitted());
+
+  gp.fit(x, y);
+  const GpSnapshot before = gp.snapshot();
+  const FitStats stats = gp.fit_stats();
+
+  EXPECT_THROW(gp.fit(x, Vector{0.5, -0.5, nan, 1.0}), std::invalid_argument);
+  expect_same_state(gp, before, stats);
+  Matrix bad_x = x;
+  bad_x(2, 1) = inf;
+  EXPECT_THROW(gp.fit(bad_x, y), std::invalid_argument);
+  expect_same_state(gp, before, stats);
+
+  // A full window, so a bad observation would also have evicted a point.
+  EXPECT_THROW(gp.observe(std::vector<double>{2.0, 2.0}, nan),
+               std::invalid_argument);
+  expect_same_state(gp, before, stats);
+  EXPECT_THROW(gp.observe(std::vector<double>{nan, 2.0}, 0.3),
+               std::invalid_argument);
+  expect_same_state(gp, before, stats);
+  EXPECT_THROW(gp.observe(std::vector<double>{2.0, -inf}, 0.3),
+               std::invalid_argument);
+  expect_same_state(gp, before, stats);
+
+  // Still a working model.
+  gp.observe(std::vector<double>{2.0, 2.0}, 0.3);
+  EXPECT_EQ(gp.fit_stats().incremental_updates, 1u);
 }
 
 }  // namespace

@@ -432,5 +432,205 @@ TEST(Matrix, AppendAndDropRows) {
   EXPECT_THROW(m.drop_first_row(), std::logic_error);
 }
 
+
+// --------------------------------------------------------------------------
+// Bit-exact reference oracles: the textbook loops the factor used before it
+// was row-blocked and stored in place. Every entry of the blocked code must
+// equal them exactly (==, not a tolerance).
+
+/// Textbook Cholesky: each entry a(i,j) - sum_k l(i,k) l(j,k), ascending k.
+Matrix reference_factor(const Matrix& a) {
+  const std::size_t n = a.rows();
+  Matrix l(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j <= i; ++j) {
+      double s = a(i, j);
+      for (std::size_t k = 0; k < j; ++k) s -= l(i, k) * l(j, k);
+      l(i, j) = i == j ? std::sqrt(s) : s / l(j, j);
+    }
+  }
+  return l;
+}
+
+/// One-row forward substitution.
+Vector reference_solve_lower(const Matrix& l, const Vector& b) {
+  Vector x(b.size());
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    double s = b[i];
+    for (std::size_t k = 0; k < i; ++k) s -= l(i, k) * x[k];
+    x[i] = s / l(i, i);
+  }
+  return x;
+}
+
+/// Column-by-column Givens sweep of L L^T + v v^T.
+void reference_update(Matrix& l, Vector v) {
+  const std::size_t n = l.rows();
+  for (std::size_t k = 0; k < n; ++k) {
+    const double r = std::hypot(l(k, k), v[k]);
+    const double c = r / l(k, k);
+    const double s = v[k] / l(k, k);
+    l(k, k) = r;
+    for (std::size_t i = k + 1; i < n; ++i) {
+      l(i, k) = (l(i, k) + s * v[i]) / c;
+      v[i] = c * v[i] - s * l(i, k);
+    }
+  }
+}
+
+/// Column-by-column hyperbolic sweep of L L^T - v v^T (kept PD by the caller).
+void reference_downdate(Matrix& l, Vector v) {
+  const std::size_t n = l.rows();
+  for (std::size_t k = 0; k < n; ++k) {
+    const double r = std::sqrt((l(k, k) - v[k]) * (l(k, k) + v[k]));
+    const double c = r / l(k, k);
+    const double s = v[k] / l(k, k);
+    l(k, k) = r;
+    for (std::size_t i = k + 1; i < n; ++i) {
+      l(i, k) = (l(i, k) - s * v[i]) / c;
+      v[i] = c * v[i] - s * l(i, k);
+    }
+  }
+}
+
+/// Factor of the bordered matrix, built as a fresh (n+1)^2 matrix.
+Matrix reference_append_row(const Matrix& l, const Vector& cross,
+                            double diag) {
+  const std::size_t n = l.rows();
+  const Vector row = reference_solve_lower(l, cross);
+  Matrix grown(n + 1, n + 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j <= i; ++j) grown(i, j) = l(i, j);
+  }
+  for (std::size_t j = 0; j < n; ++j) grown(n, j) = row[j];
+  grown(n, n) = std::sqrt(diag - dot(row, row));
+  return grown;
+}
+
+/// Factor of the trailing block, built as a fresh (n-1)^2 matrix.
+Matrix reference_drop_first(const Matrix& l) {
+  const std::size_t n = l.rows();
+  Vector v(n - 1);
+  Matrix sub(n - 1, n - 1);
+  for (std::size_t i = 1; i < n; ++i) {
+    v[i - 1] = l(i, 0);
+    for (std::size_t j = 1; j <= i; ++j) sub(i - 1, j - 1) = l(i, j);
+  }
+  reference_update(sub, v);
+  return sub;
+}
+
+constexpr std::size_t kOracleSizes[] = {1, 7, 8, 9, 64, 1000};
+
+TEST(CholeskyOracle, BlockedFactorMatchesTextbookLoop) {
+  for (const std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{8},
+                              std::size_t{9}, std::size_t{64},
+                              std::size_t{203}}) {
+    std::mt19937_64 rng(500 + n);
+    const Matrix a = random_spd(rng, n, 1.0);
+    const auto chol = Cholesky::factor(a);
+    ASSERT_TRUE(chol) << "n=" << n;
+    EXPECT_TRUE(chol->lower() == reference_factor(a)) << "n=" << n;
+  }
+}
+
+TEST(CholeskyOracle, BlockedForwardSolvesMatchOneRowLoop) {
+  for (const std::size_t n : kOracleSizes) {
+    std::mt19937_64 rng(600 + n);
+    std::uniform_real_distribution<double> dist(-1.0, 1.0);
+    // Lower-triangular L with a dominant diagonal: solves stay O(1).
+    Matrix l(n, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < i; ++j) l(i, j) = dist(rng) / std::sqrt(n);
+      l(i, i) = 1.5 + dist(rng);
+    }
+    const Cholesky chol = Cholesky::from_lower(l);
+    // Right-hand-side counts that do not divide the 8-row block or n.
+    for (const std::size_t rhs :
+         {std::size_t{1}, std::size_t{3}, std::size_t{5}, std::size_t{32}}) {
+      std::vector<Vector> columns(rhs, Vector(n));
+      for (Vector& col : columns) {
+        for (double& x : col) x = dist(rng);
+      }
+      Vector block(n * rhs);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < rhs; ++j) {
+          block[i * rhs + j] = columns[j][i];
+        }
+      }
+      chol.solve_lower_in_place(block, rhs);
+      for (std::size_t j = 0; j < rhs; ++j) {
+        const Vector want = reference_solve_lower(l, columns[j]);
+        EXPECT_TRUE(chol.solve_lower(columns[j]) == want)
+            << "n=" << n << " rhs=" << rhs << " column " << j;
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(block[i * rhs + j], want[i])
+              << "n=" << n << " rhs=" << rhs << " (" << i << "," << j << ")";
+        }
+      }
+    }
+  }
+}
+
+TEST(CholeskyOracle, RowSweepsMatchColumnSweeps) {
+  for (const std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{8},
+                              std::size_t{9}, std::size_t{64},
+                              std::size_t{203}}) {
+    std::mt19937_64 rng(700 + n);
+    std::uniform_real_distribution<double> dist(-0.3, 0.3);
+    const Matrix a = random_spd(rng, n, 2.0);
+    Vector v(n);
+    for (double& x : v) x = dist(rng);
+
+    auto chol = Cholesky::factor(a);
+    ASSERT_TRUE(chol);
+    Matrix want = chol->lower();
+    chol->update(v);
+    reference_update(want, v);
+    EXPECT_TRUE(chol->lower() == want) << "update n=" << n;
+
+    chol->downdate(v);
+    reference_downdate(want, v);
+    EXPECT_TRUE(chol->lower() == want) << "downdate n=" << n;
+  }
+}
+
+TEST(CholeskyOracle, InPlaceWindowMatchesFreshMatrices) {
+  // A sliding window (drop the oldest point, append a new one) for the
+  // first half, long enough that the buffer compacts several times, then a
+  // growing one (append only), long enough that it reallocates.
+  constexpr std::size_t kPoints = 300;
+  std::mt19937_64 rng(800);
+  const Matrix big = random_spd(rng, kPoints, 1.0);
+  const auto entry = [&](std::size_t i, std::size_t j) { return big(i, j); };
+  for (const std::size_t window : {std::size_t{1}, std::size_t{9},
+                                   std::size_t{64}}) {
+    Matrix lead(window, window);
+    for (std::size_t i = 0; i < window; ++i) {
+      for (std::size_t j = 0; j < window; ++j) lead(i, j) = entry(i, j);
+    }
+    auto chol = Cholesky::factor(lead);
+    ASSERT_TRUE(chol);
+    Matrix want = reference_factor(lead);
+    std::size_t first = 0;
+    for (std::size_t next = window; next < kPoints; ++next) {
+      if (want.rows() > 1 && next < kPoints / 2) {
+        chol->drop_first();
+        want = reference_drop_first(want);
+        ++first;
+      }
+      Vector cross(next - first);
+      for (std::size_t i = 0; i < cross.size(); ++i) {
+        cross[i] = entry(next, first + i);
+      }
+      chol->append_row(cross, entry(next, next));
+      want = reference_append_row(want, cross, entry(next, next));
+      ASSERT_TRUE(chol->lower() == want)
+          << "window " << window << " after point " << next;
+    }
+    EXPECT_GT(chol->size(), window);  // the window grew as well as slid
+  }
+}
+
 }  // namespace
 }  // namespace autra::linalg
