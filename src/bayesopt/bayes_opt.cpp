@@ -66,8 +66,7 @@ void BayesOpt::refit_if_dirty() {
   linalg::Matrix x(observations_.size(), space_.dims());
   linalg::Vector y(observations_.size());
   for (std::size_t i = 0; i < observations_.size(); ++i) {
-    const Config& c = observations_[i].config;
-    std::copy(c.begin(), c.end(), x.row(i).begin());
+    to_features(observations_[i].config, x.row(i));
     y[i] = observations_[i].score;
   }
   surrogate_.fit(x, y);
@@ -171,9 +170,7 @@ Suggestion BayesOpt::suggest() {
   // count.
   std::vector<double> features(fresh.size() * d);
   for (std::size_t f = 0; f < fresh.size(); ++f) {
-    const std::span<const int> c = cands[fresh[f]];
-    std::copy(c.begin(), c.end(), features.begin() +
-                                      static_cast<std::ptrdiff_t>(f * d));
+    to_features(cands[fresh[f]], std::span(features).subspan(f * d, d));
   }
   std::vector<double> eis(fresh.size());
   gp::expected_improvement(surrogate_, features, incumbent, config_.xi,

@@ -27,7 +27,9 @@ void ConfigBlock::sort_unique() {
   // LSD radix sort of the row indices: one stable counting pass per byte
   // of (value - column minimum) that varies, last column first, so the
   // final order is lexicographic. Small parallelism ranges take one pass
-  // per column.
+  // per column. std::sort with a lexicographic comparator gives the same
+  // rows but its compares are branch-bound: chain8_diurnal's decisions
+  // took about a fifth longer with it.
   const std::size_t n = size();
   if (n == 0) return;
   std::vector<std::uint32_t> order(n);
@@ -242,7 +244,16 @@ ConfigBlock SearchSpace::axis_candidates(const Config& center,
 }
 
 std::vector<double> to_features(const Config& c) {
-  return {c.begin(), c.end()};
+  std::vector<double> f(c.size());
+  to_features(c, f);
+  return f;
+}
+
+void to_features(std::span<const int> c, std::span<double> out) {
+  if (out.size() != c.size()) {
+    throw std::invalid_argument("to_features: size mismatch");
+  }
+  std::copy(c.begin(), c.end(), out.begin());
 }
 
 }  // namespace autra::bo

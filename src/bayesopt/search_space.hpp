@@ -114,4 +114,8 @@ class SearchSpace {
 /// Converts an integer config to the double feature vector the GP consumes.
 [[nodiscard]] std::vector<double> to_features(const Config& c);
 
+/// The same conversion, written into `out`; throws std::invalid_argument
+/// unless out.size() == c.size().
+void to_features(std::span<const int> c, std::span<double> out);
+
 }  // namespace autra::bo

@@ -100,9 +100,8 @@ runtime::Parallelism RateAwareModel::recommend(const runtime::Parallelism& base,
   const std::size_t d = base.size() + 1;
   std::vector<double> rows(cands.size() * d);
   for (std::size_t r = 0; r < cands.size(); ++r) {
-    const std::span<const int> c = cands[r];
-    double* row = rows.data() + r * d;
-    std::copy(c.begin(), c.end(), row);
+    const std::span<double> row = std::span(rows).subspan(r * d, d);
+    bo::to_features(cands[r], row.first(d - 1));
     row[d - 1] = rate_feature(rate);
   }
   std::vector<double> eis(cands.size());

@@ -86,11 +86,12 @@ struct GpConfig {
   double max_length_scale = 4.0;
   /// Number of grid points per hyper-parameter dimension.
   int grid_points = 12;
-  /// Worker threads for the multi-start grid search (each grid point is an
-  /// independent kernel build + Cholesky + log-ML) and for batch EI
-  /// scoring when the regressor backs a BayesOpt loop. <= 0 uses the
-  /// process default (AUTRA_THREADS or hardware_concurrency); 1 forces the
-  /// guaranteed-serial path. Results are bit-identical at any value.
+  /// Worker threads for the multi-start grid search (one task per length
+  /// scale, each building the Gram matrix, Cholesky and log-ML of every
+  /// signal variance) and for batch EI scoring when the regressor backs a
+  /// BayesOpt loop. <= 0 uses the process default (AUTRA_THREADS or
+  /// hardware_concurrency); 1 forces the guaranteed-serial path. Results
+  /// are bit-identical at any value.
   int threads = 0;
   /// Initial kernel hyper-parameters (the fitted values when
   /// optimize_hyperparams is off).
