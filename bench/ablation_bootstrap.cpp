@@ -25,7 +25,7 @@ struct Outcome {
 
 Outcome run_with_seeds(const std::vector<core::SamplePoint>& seeds,
                        const sim::Parallelism& base, sim::JobRunner& runner) {
-  const core::Evaluator evaluate = core::make_runner_evaluator(runner);
+  const runtime::Evaluator evaluate = sim::make_runner_evaluator(runner);
   core::SteadyRateParams params;
   params.target_latency_ms = 28.0;
   params.target_throughput = 350e3;
@@ -40,14 +40,14 @@ Outcome run_with_seeds(const std::vector<core::SamplePoint>& seeds,
 std::vector<core::SamplePoint> evaluate_all(
     const std::vector<sim::Parallelism>& configs,
     const sim::Parallelism& base, sim::JobRunner& runner) {
-  const core::Evaluator evaluate = core::make_runner_evaluator(runner);
+  const runtime::Evaluator evaluate = sim::make_runner_evaluator(runner);
   const core::ScoreParams sp{.target_latency_ms = 28.0, .alpha = 0.5,
                              .base = base};
   std::vector<core::SamplePoint> out;
   for (const sim::Parallelism& c : configs) {
     core::SamplePoint s;
     s.config = c;
-    sim::JobMetrics m = evaluate(c);
+    runtime::JobMetrics m = evaluate(c);
     s.score = core::benefit_score(m, sp);
     s.metrics = std::move(m);
     out.push_back(std::move(s));
@@ -64,7 +64,7 @@ int main() {
       workloads::word_count(std::make_shared<sim::ConstantRate>(350e3));
   sim::JobRunner runner(std::move(spec),
       {.warmup_sec = 60.0, .measure_sec = 60.0});
-  const core::Evaluator evaluate = core::make_runner_evaluator(runner);
+  const runtime::Evaluator evaluate = sim::make_runner_evaluator(runner);
   const core::ThroughputOptimizer opt(
       runner.spec().topology,
       {.target_throughput = 350e3,

@@ -31,7 +31,7 @@ Row optimize(const sim::JobSpec& spec, double rate, double latency_ms) {
   copy.schedule = std::make_shared<sim::ConstantRate>(rate);
   sim::JobRunner runner(std::move(copy),
       {.warmup_sec = 60.0, .measure_sec = 60.0});
-  const core::Evaluator eval = core::make_runner_evaluator(runner);
+  const runtime::Evaluator eval = sim::make_runner_evaluator(runner);
   const core::ThroughputOptimizer opt(
       runner.spec().topology,
       {.target_throughput = rate,

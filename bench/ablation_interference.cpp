@@ -9,7 +9,7 @@
 // interference is what breaks the linear dataflow model.
 #include "baselines/ds2.hpp"
 #include "bench_util.hpp"
-#include "core/evaluator.hpp"
+#include "streamsim/job_runner.hpp"
 #include "workloads/workloads.hpp"
 
 int main() {
@@ -28,7 +28,7 @@ int main() {
       spec.engine.interference.enabled = enabled;
       sim::JobRunner runner(std::move(spec),
       {.warmup_sec = 30.0, .measure_sec = 30.0});
-      const sim::JobMetrics m = runner.measure(sim::Parallelism(4, p));
+      const runtime::JobMetrics m = runner.measure(sim::Parallelism(4, p));
       if (p == 1) t1 = m.throughput;
       std::printf("%6d %12.1f %17.0f%%\n", p, m.throughput / 1e3,
                   100.0 * m.throughput / (t1 * p));
@@ -40,7 +40,7 @@ int main() {
     spec.engine.interference.enabled = enabled;
     sim::JobRunner runner(std::move(spec),
       {.warmup_sec = 30.0, .measure_sec = 30.0});
-    const core::Evaluator evaluate = core::make_runner_evaluator(runner);
+    const runtime::Evaluator evaluate = sim::make_runner_evaluator(runner);
     const baselines::Ds2Policy ds2(
         runner.spec().topology,
         {.target_throughput = 350e3,

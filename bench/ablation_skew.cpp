@@ -36,7 +36,7 @@ int main() {
   for (const double skew : {0.0, 0.5, 1.0, 2.0}) {
     sim::JobRunner runner(skewed_wordcount(skew),
       {.warmup_sec = 60.0, .measure_sec = 60.0});
-    const core::Evaluator evaluate = core::make_runner_evaluator(runner);
+    const runtime::Evaluator evaluate = sim::make_runner_evaluator(runner);
     const int p_max = runner.max_parallelism();
 
     const baselines::Ds2Policy ds2(

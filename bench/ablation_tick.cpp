@@ -101,7 +101,7 @@ void run_tick_ablation() {
       {.warmup_sec = 60.0, .measure_sec = 120.0});
 
     const auto t0 = std::chrono::steady_clock::now();
-    const sim::JobMetrics m = runner.measure(sim::Parallelism(4, 3));
+    const runtime::JobMetrics m = runner.measure(sim::Parallelism(4, 3));
     const auto wall = std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - t0)
                           .count();

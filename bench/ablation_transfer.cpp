@@ -19,7 +19,7 @@ sim::JobRunner q5_runner(double rate) {
 }
 
 sim::Parallelism base_of(sim::JobRunner& runner, double target) {
-  const core::Evaluator eval = core::make_runner_evaluator(runner);
+  const runtime::Evaluator eval = sim::make_runner_evaluator(runner);
   const core::ThroughputOptimizer opt(
       runner.spec().topology,
       {.target_throughput = target,
@@ -45,7 +45,7 @@ int main() {
 
   // Train the prior once at 20k.
   sim::JobRunner r20 = q5_runner(20e3);
-  const core::Evaluator e20 = core::make_runner_evaluator(r20);
+  const runtime::Evaluator e20 = sim::make_runner_evaluator(r20);
   const sim::Parallelism base20 = base_of(r20, 20e3);
   const core::SteadyRateResult run20 = core::run_steady_rate(
       e20, base20, q5_params(20e3, r20.max_parallelism()));
@@ -58,7 +58,7 @@ int main() {
               "scratch runs", "saved");
   for (const double rate : {22e3, 30e3, 40e3}) {
     sim::JobRunner runner = q5_runner(rate);
-    const core::Evaluator eval = core::make_runner_evaluator(runner);
+    const runtime::Evaluator eval = sim::make_runner_evaluator(runner);
     const sim::Parallelism base = base_of(runner, rate);
     const auto sp = q5_params(rate, runner.max_parallelism());
 

@@ -18,7 +18,7 @@ core::SteadyRateResult run_once(double xi, double alpha, double threshold) {
       workloads::word_count(std::make_shared<sim::ConstantRate>(350e3));
   sim::JobRunner runner(std::move(spec),
       {.warmup_sec = 60.0, .measure_sec = 60.0});
-  const core::Evaluator evaluate = core::make_runner_evaluator(runner);
+  const runtime::Evaluator evaluate = sim::make_runner_evaluator(runner);
   const core::ThroughputOptimizer opt(
       runner.spec().topology,
       {.target_throughput = 350e3,

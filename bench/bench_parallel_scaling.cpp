@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
         6, std::make_shared<sim::ConstantRate>(220e3), 10.0);
     sim::JobRunner runner(std::move(spec),
       {.warmup_sec = 60.0, .measure_sec = 60.0});
-    const core::Evaluator evaluate = core::make_runner_evaluator(runner);
+    const runtime::Evaluator evaluate = sim::make_runner_evaluator(runner);
 
     const core::ThroughputOptimizer opt(
         runner.spec().topology,

@@ -24,7 +24,7 @@ sim::JobRunner runner_at(double rate) {
 }
 
 sim::Parallelism base_of(sim::JobRunner& runner, double rate) {
-  const core::Evaluator eval = core::make_runner_evaluator(runner);
+  const runtime::Evaluator eval = sim::make_runner_evaluator(runner);
   const core::ThroughputOptimizer opt(
       runner.spec().topology,
       {.target_throughput = rate,
@@ -53,7 +53,7 @@ int main() {
 
   for (const double rate : {15e3, 20e3, 25e3}) {
     sim::JobRunner runner = runner_at(rate);
-    const core::Evaluator eval = core::make_runner_evaluator(runner);
+    const runtime::Evaluator eval = sim::make_runner_evaluator(runner);
     const sim::Parallelism base = base_of(runner, rate);
     const auto sp = params_at(rate, runner.max_parallelism());
     const core::SteadyRateResult r = core::run_steady_rate(eval, base, sp);
@@ -72,7 +72,7 @@ int main() {
               "algorithm 2", "scratch");
   for (const double rate : {28e3, 32e3, 36e3}) {
     sim::JobRunner runner = runner_at(rate);
-    const core::Evaluator eval = core::make_runner_evaluator(runner);
+    const runtime::Evaluator eval = sim::make_runner_evaluator(runner);
     const sim::Parallelism base = base_of(runner, rate);
     const auto sp = params_at(rate, runner.max_parallelism());
 

@@ -25,7 +25,7 @@ int main() {
   for (int minute = 1; minute <= 50; ++minute) {
     session.reset_window();
     session.run_for(60.0);
-    const sim::JobMetrics m = session.window_metrics();
+    const runtime::JobMetrics m = session.window_metrics();
     std::printf("%8d %12.0f %12.1f %14.1f %14.0f\n", minute,
                 m.input_rate / 1e3, m.throughput / 1e3, m.latency_ms,
                 m.kafka_lag / 1e3);

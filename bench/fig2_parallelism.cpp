@@ -21,7 +21,7 @@ int main() {
         std::make_shared<sim::ConstantRate>(300e3));
     sim::JobRunner runner(std::move(spec),
       {.warmup_sec = 120.0, .measure_sec = 120.0});
-    const sim::JobMetrics m = runner.measure(sim::Parallelism(4, p));
+    const runtime::JobMetrics m = runner.measure(sim::Parallelism(4, p));
     if (p == 1) p1_throughput = m.throughput;
     std::printf("%6d %12.1f %14.1f %14.0f %16.1f\n", p, m.throughput / 1e3,
                 m.latency_ms, m.kafka_lag / 1e3, m.throughput / 1e3 / p);

@@ -43,7 +43,7 @@ int main() {
   for (Case& c : cases) {
     sim::JobRunner runner(std::move(c.spec),
       {.warmup_sec = 60.0, .measure_sec = 60.0});
-    const core::Evaluator evaluate = core::make_runner_evaluator(runner);
+    const runtime::Evaluator evaluate = sim::make_runner_evaluator(runner);
     const core::ThroughputOptimizer opt(
         runner.spec().topology,
         {.target_throughput = c.rate,

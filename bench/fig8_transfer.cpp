@@ -43,7 +43,7 @@ sim::JobRunner make_runner(const QueryCase& q, double rate) {
 }
 
 sim::Parallelism base_config(sim::JobRunner& runner, double target) {
-  const core::Evaluator eval = core::make_runner_evaluator(runner);
+  const runtime::Evaluator eval = sim::make_runner_evaluator(runner);
   const core::ThroughputOptimizer opt(
       runner.spec().topology,
       {.target_throughput = target,
@@ -82,8 +82,8 @@ int main(int argc, char** argv) {
 
     // --- Pre-train the benefit model at the old rate. --------------------
     sim::JobRunner old_runner = make_runner(q, q.old_rate);
-    const core::Evaluator old_eval =
-        core::make_runner_evaluator(old_runner);
+    const runtime::Evaluator old_eval =
+        sim::make_runner_evaluator(old_runner);
     const sim::Parallelism old_base = base_config(old_runner, q.old_rate);
     core::SteadyRateParams sp;
     sp.target_latency_ms = q.target_latency_ms;
@@ -100,8 +100,8 @@ int main(int argc, char** argv) {
 
     // --- AuTraScale Algorithm 2 at the new rate. --------------------------
     sim::JobRunner new_runner = make_runner(q, q.new_rate);
-    const core::Evaluator new_eval =
-        core::make_runner_evaluator(new_runner);
+    const runtime::Evaluator new_eval =
+        sim::make_runner_evaluator(new_runner);
     const sim::Parallelism new_base = base_config(new_runner, q.new_rate);
     core::TransferParams tp;
     tp.steady = sp;
@@ -132,9 +132,9 @@ int main(int argc, char** argv) {
     std::printf("\nFig. 8(b) — per-record latency of terminal configs [ms]\n");
     std::printf("  %-12s %8s %8s %8s %8s\n", "method", "p50", "p95", "p99",
                 "mean");
-    const sim::LatencyPercentiles at_lat =
+    const runtime::LatencyPercentiles at_lat =
         at.best_metrics.latency_percentiles.value();
-    const sim::LatencyPercentiles dr_lat =
+    const runtime::LatencyPercentiles dr_lat =
         dr.final_metrics.latency_percentiles.value();
     std::printf("  %-12s %8.1f %8.1f %8.1f %8.1f\n", "AuTraScale",
                 at_lat.p50_ms, at_lat.p95_ms, at_lat.p99_ms,
@@ -144,8 +144,8 @@ int main(int argc, char** argv) {
 
     const auto add_row = [&](const char* method, int iterations,
                              const sim::Parallelism& config,
-                             const sim::JobMetrics& m,
-                             const sim::LatencyPercentiles& lat) {
+                             const runtime::JobMetrics& m,
+                             const runtime::LatencyPercentiles& lat) {
       report.row()
           .str("query", q.name)
           .str("method", method)

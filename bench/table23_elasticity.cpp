@@ -26,7 +26,7 @@ using namespace autra;
 struct MethodResult {
   std::string method;
   sim::Parallelism config;
-  sim::JobMetrics metrics;
+  runtime::JobMetrics metrics;
   int iterations = 0;
   bool qos_met = false;
 };
@@ -44,12 +44,12 @@ struct Scenario {
 std::vector<MethodResult> run_scenario(Scenario& sc) {
   sim::JobRunner runner(std::move(sc.spec),
       {.warmup_sec = 60.0, .measure_sec = 60.0});
-  const core::Evaluator evaluate = core::make_runner_evaluator(runner);
+  const runtime::Evaluator evaluate = sim::make_runner_evaluator(runner);
   const auto& topology = runner.spec().topology;
   const int p_max = runner.max_parallelism();
 
   std::vector<MethodResult> results;
-  const auto qos = [&](const sim::JobMetrics& m) {
+  const auto qos = [&](const runtime::JobMetrics& m) {
     return m.latency_ms <= sc.target_latency_ms &&
            m.throughput >= 0.97 * sc.target_throughput;
   };

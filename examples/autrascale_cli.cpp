@@ -35,11 +35,15 @@
 // crash groups, partitions, metric corruption, rescale failures) from
 // fault::ChaosGenerator instead of replaying a canned story; the same
 // --fault-seed reproduces the same schedule bit for bit.
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <system_error>
+#include <type_traits>
 
 #include "arrival/arrival.hpp"
 #include "baselines/dhalion.hpp"
@@ -96,6 +100,20 @@ struct Options {
   std::exit(2);
 }
 
+// A numeric flag value must parse whole ("250000x", "abc" and "" are usage
+// errors, never a truncated number or a silent 0) and be finite.
+template <class T>
+T parse_number(const char* s, const char* argv0) {
+  T v{};
+  const char* end = s + std::strlen(s);
+  const auto [ptr, ec] = std::from_chars(s, end, v);
+  if (ec != std::errc() || ptr != end) usage(argv0);
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(v)) usage(argv0);
+  }
+  return v;
+}
+
 Options parse(int argc, char** argv) {
   Options opt;
   for (int i = 1; i < argc; ++i) {
@@ -109,11 +127,11 @@ Options parse(int argc, char** argv) {
     } else if (flag == "--policy") {
       opt.policy = value();
     } else if (flag == "--rate") {
-      opt.rate = std::atof(value());
+      opt.rate = parse_number<double>(value(), argv[0]);
     } else if (flag == "--latency-ms") {
-      opt.latency_ms = std::atof(value());
+      opt.latency_ms = parse_number<double>(value(), argv[0]);
     } else if (flag == "--throughput") {
-      opt.throughput = std::atof(value());
+      opt.throughput = parse_number<double>(value(), argv[0]);
     } else if (flag == "--kernel") {
       // Bad kernel names fail here, at the I/O boundary, not deep inside a
       // GP fit.
@@ -124,23 +142,23 @@ Options parse(int argc, char** argv) {
         usage(argv[0]);
       }
     } else if (flag == "--threads") {
-      opt.threads = std::atoi(value());
+      opt.threads = parse_number<int>(value(), argv[0]);
     } else if (flag == "--seed") {
-      opt.seed = std::strtoull(value(), nullptr, 10);
+      opt.seed = parse_number<std::uint64_t>(value(), argv[0]);
     } else if (flag == "--faults") {
       opt.faults = value();
     } else if (flag == "--fault-seed") {
-      opt.fault_seed = std::strtoull(value(), nullptr, 10);
+      opt.fault_seed = parse_number<std::uint64_t>(value(), argv[0]);
     } else if (flag == "--horizon") {
-      opt.horizon_sec = std::atof(value());
+      opt.horizon_sec = parse_number<double>(value(), argv[0]);
     } else if (flag == "--intensity") {
-      opt.intensity = std::atof(value());
+      opt.intensity = parse_number<double>(value(), argv[0]);
     } else if (flag == "--arrival") {
       opt.arrival = value();
     } else if (flag == "--arrival-seed") {
-      opt.arrival_seed = std::strtoull(value(), nullptr, 10);
+      opt.arrival_seed = parse_number<std::uint64_t>(value(), argv[0]);
     } else if (flag == "--burst-clustering") {
-      opt.burst_clustering = std::atof(value());
+      opt.burst_clustering = parse_number<double>(value(), argv[0]);
     } else {
       usage(argv[0]);
     }
@@ -235,7 +253,7 @@ int main(int argc, char** argv) {
   spec.engine.latency_percentiles = true;  // print_metrics reports p99
   sim::JobRunner runner(std::move(spec),
       {.warmup_sec = 60.0, .measure_sec = 60.0});
-  const core::Evaluator evaluate = core::make_runner_evaluator(runner);
+  const runtime::Evaluator evaluate = sim::make_runner_evaluator(runner);
   const auto& topology = runner.spec().topology;
   const int p_max = runner.max_parallelism();
   const sim::Parallelism start(runner.num_operators(), 1);
@@ -245,7 +263,7 @@ int main(int argc, char** argv) {
               opt.workload.c_str(), opt.rate, opt.policy.c_str(),
               opt.latency_ms, target_thr);
 
-  sim::JobMetrics final_metrics;
+  runtime::JobMetrics final_metrics;
   int runs = 0;
 
   if (opt.policy == "autrascale") {

@@ -19,7 +19,7 @@ inline std::string to_string(const sim::Parallelism& p) {
 
 /// Prints p99 as "n/a" unless the job was run with
 /// EngineParams::latency_percentiles.
-inline void print_metrics(const char* tag, const sim::JobMetrics& m) {
+inline void print_metrics(const char* tag, const runtime::JobMetrics& m) {
   char p99[32] = "    n/a";
   if (m.latency_percentiles) {
     std::snprintf(p99, sizeof p99, "%7.1f", m.latency_percentiles->p99_ms);

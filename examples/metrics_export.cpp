@@ -23,10 +23,10 @@ int main(int argc, char** argv) {
   // (kHotScaleOut keeps the pipeline running — ~1 s pause instead of a
   // full savepoint/restart).
   session.run_for(840.0);
-  session.reconfigure({2, 2, 4, 3}, sim::RescaleMode::kHotScaleOut);
+  session.reconfigure({2, 2, 4, 3}, runtime::RescaleMode::kHotScaleOut);
   session.run_for(660.0);
 
-  namespace mn = sim::metric_names;
+  namespace mn = runtime::metric_names;
   const std::vector<std::string> series{
       mn::kInputRate,    mn::kThroughput,       mn::kLatencyMean,
       mn::kKafkaLag,     mn::kBusyCores,        mn::kParallelismTotal,

@@ -25,8 +25,8 @@ autra::sim::JobRunner make_runner(double rate) {
 }
 
 autra::sim::Parallelism base_config(autra::sim::JobRunner& runner) {
-  const autra::core::Evaluator eval =
-      autra::core::make_runner_evaluator(runner);
+  const autra::runtime::Evaluator eval =
+      autra::sim::make_runner_evaluator(runner);
   const autra::core::ThroughputOptimizer opt(
       runner.spec().topology,
       {.max_parallelism = runner.max_parallelism()});
@@ -44,7 +44,7 @@ int main() {
 
   // --- Train a benefit model at the old rate (20k rec/s). ---------------
   sim::JobRunner r20 = make_runner(20000.0);
-  const core::Evaluator e20 = core::make_runner_evaluator(r20);
+  const runtime::Evaluator e20 = sim::make_runner_evaluator(r20);
   const sim::Parallelism base20 = base_config(r20);
   sp.target_throughput = 20000.0;
   sp.max_parallelism = r20.max_parallelism();
@@ -59,7 +59,7 @@ int main() {
 
   // --- The rate rises to 30k: transfer. ---------------------------------
   sim::JobRunner r30 = make_runner(30000.0);
-  const core::Evaluator e30 = core::make_runner_evaluator(r30);
+  const runtime::Evaluator e30 = sim::make_runner_evaluator(r30);
   const sim::Parallelism base30 = base_config(r30);
   sp.target_throughput = 30000.0;
   sp.max_parallelism = r30.max_parallelism();

@@ -18,7 +18,7 @@ namespace {
 
 struct Row {
   const char* policy;
-  autra::sim::JobMetrics metrics;
+  autra::runtime::JobMetrics metrics;
   int runs;
   bool qos_met;
 };
@@ -47,7 +47,7 @@ int main() {
       workloads::word_count(std::make_shared<sim::ConstantRate>(rate));
   sim::JobRunner runner(std::move(spec),
       {.warmup_sec = 60.0, .measure_sec = 60.0});
-  const core::Evaluator evaluate = core::make_runner_evaluator(runner);
+  const runtime::Evaluator evaluate = sim::make_runner_evaluator(runner);
   const auto& topology = runner.spec().topology;
   const int p_max = runner.max_parallelism();
   const sim::Parallelism start(4, 1);

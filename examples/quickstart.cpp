@@ -27,7 +27,7 @@ int main() {
   // configuration for the policy running time" trial.
   sim::JobRunner runner(std::move(spec),
                         {.warmup_sec = 60.0, .measure_sec = 60.0});
-  const core::Evaluator evaluate = core::make_runner_evaluator(runner);
+  const runtime::Evaluator evaluate = sim::make_runner_evaluator(runner);
 
   // Step 1: throughput optimisation from parallelism 1.
   const core::ThroughputOptimizer optimizer(

@@ -28,7 +28,7 @@ int main() {
       const double window_rate =
           session.engine().kafka().rate_at(session.now());
       session.run_for(300.0);
-      const sim::JobMetrics m = session.window_metrics();
+      const runtime::JobMetrics m = session.window_metrics();
       char tag[64];
       std::snprintf(tag, sizeof tag, "t=%4.0f min, rate=%3.0fk",
                     session.now() / 60.0, window_rate / 1000.0);

@@ -24,7 +24,7 @@ int main() {
       workloads::yahoo_streaming(std::make_shared<sim::ConstantRate>(rate));
   sim::JobRunner runner(std::move(spec),
       {.warmup_sec = 60.0, .measure_sec = 60.0});
-  const core::Evaluator evaluate = core::make_runner_evaluator(runner);
+  const runtime::Evaluator evaluate = sim::make_runner_evaluator(runner);
 
   std::printf("input rate %.0fk rec/s; Redis capacity %.0fk calls/s\n\n",
               rate / 1000.0, workloads::kYahooRedisCallsPerSec / 1000.0);
@@ -71,7 +71,7 @@ int main() {
   qos_spec.engine.latency_percentiles = true;  // print_metrics reports p99
   sim::JobRunner qos_runner(std::move(qos_spec),
       {.warmup_sec = 60.0, .measure_sec = 60.0});
-  const core::Evaluator qos_eval = core::make_runner_evaluator(qos_runner);
+  const runtime::Evaluator qos_eval = sim::make_runner_evaluator(qos_runner);
   const core::ThroughputOptimizer qos_opt(
       qos_runner.spec().topology,
       {.target_throughput = 34000.0,

@@ -37,7 +37,6 @@
 #include "streamsim/job_runner.hpp"
 #include "streamsim/kafka.hpp"
 #include "streamsim/latency.hpp"
-#include "streamsim/metrics.hpp"
 #include "streamsim/rates.hpp"
 #include "streamsim/topology.hpp"
 
@@ -45,7 +44,6 @@
 
 #include "core/bootstrap.hpp"
 #include "core/controller.hpp"
-#include "core/evaluator.hpp"
 #include "core/model_io.hpp"
 #include "core/rate_aware.hpp"
 #include "core/scoring.hpp"

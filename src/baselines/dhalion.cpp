@@ -58,7 +58,48 @@ std::size_t DhalionPolicy::culprit_of(const runtime::JobMetrics& metrics,
   return jammed;  // Nothing saturated downstream: the jam itself is slow.
 }
 
-DhalionResult DhalionPolicy::run(const core::Evaluator& evaluate,
+std::vector<std::size_t> DhalionPolicy::bottlenecks(
+    const runtime::JobMetrics& metrics) const {
+  // The job is also unhealthy when the source cannot keep up (growing
+  // Kafka lag shows up as source-side pressure).
+  std::vector<std::size_t> out = diagnose(metrics);
+  if (metrics.lag_growth_per_sec > 0.01 * std::max(metrics.input_rate, 1.0)) {
+    for (std::size_t s : topology_.sources()) {
+      if (std::find(out.begin(), out.end(), s) == out.end()) {
+        out.push_back(s);
+      }
+    }
+  }
+  return out;
+}
+
+runtime::Parallelism DhalionPolicy::resolve(
+    const runtime::JobMetrics& metrics,
+    const std::vector<std::size_t>& bottlenecks,
+    const runtime::Parallelism& current) const {
+  // For each jam, scale the culprit (the saturated operator downstream of
+  // the backlog) by its observed pressure ratio.
+  runtime::Parallelism next = current;
+  for (std::size_t b : bottlenecks) {
+    const std::size_t target_op = culprit_of(metrics, b);
+    const runtime::OperatorRates& r = metrics.operators[target_op];
+    // Pressure: what the culprit would have to absorb, including the
+    // demand currently piling up upstream (the jam's input rate carried
+    // through to it), relative to its current capacity.
+    const double capacity =
+        r.true_rate_per_instance * std::max(r.parallelism, 1);
+    const double demand =
+        std::max(r.total_input_rate, metrics.operators[b].total_input_rate);
+    const double pressure = capacity > 0.0 ? demand / capacity : 1.5;
+    const int target = static_cast<int>(
+        std::ceil(next[target_op] * std::max(pressure, 1.0 + 1e-3)));
+    next[target_op] = std::clamp(std::max(target, next[target_op] + 1), 1,
+                                 params_.max_parallelism);
+  }
+  return next;
+}
+
+DhalionResult DhalionPolicy::run(const runtime::Evaluator& evaluate,
                                  const runtime::Parallelism& initial) const {
   DhalionResult result;
   runtime::Parallelism current = initial;
@@ -67,44 +108,12 @@ DhalionResult DhalionPolicy::run(const core::Evaluator& evaluate,
   std::set<runtime::Parallelism> blacklist;
 
   while (result.iterations < params_.max_iterations) {
-    // The job is also unhealthy when the source cannot keep up (growing
-    // Kafka lag shows up as source-side pressure).
-    std::vector<std::size_t> bottlenecks = diagnose(metrics);
-    if (metrics.lag_growth_per_sec >
-        0.01 * std::max(metrics.input_rate, 1.0)) {
-      for (std::size_t s : topology_.sources()) {
-        if (std::find(bottlenecks.begin(), bottlenecks.end(), s) ==
-            bottlenecks.end()) {
-          bottlenecks.push_back(s);
-        }
-      }
-    }
-    if (bottlenecks.empty()) {
+    const std::vector<std::size_t> symptoms = bottlenecks(metrics);
+    if (symptoms.empty()) {
       result.healthy = true;
       break;
     }
-
-    // Resolution: for each jam, scale the culprit (the saturated operator
-    // downstream of the backlog) by its observed pressure ratio.
-    runtime::Parallelism next = current;
-    for (std::size_t b : bottlenecks) {
-      const std::size_t target_op = culprit_of(metrics, b);
-      const runtime::OperatorRates& r = metrics.operators[target_op];
-      // Pressure: what the culprit would have to absorb, including the
-      // demand currently piling up upstream (the jam's input rate carried
-      // through to it), relative to its current capacity.
-      const double capacity =
-          r.true_rate_per_instance * std::max(r.parallelism, 1);
-      const double demand = std::max(
-          r.total_input_rate,
-          metrics.operators[b].total_input_rate);
-      const double pressure =
-          capacity > 0.0 ? demand / capacity : 1.5;
-      const int target = static_cast<int>(
-          std::ceil(next[target_op] * std::max(pressure, 1.0 + 1e-3)));
-      next[target_op] = std::clamp(std::max(target, next[target_op] + 1), 1,
-                                   params_.max_parallelism);
-    }
+    const runtime::Parallelism next = resolve(metrics, symptoms, current);
     if (next == current || blacklist.contains(next)) {
       break;  // Nothing new to try.
     }
@@ -114,8 +123,7 @@ DhalionResult DhalionPolicy::run(const core::Evaluator& evaluate,
     const double gain = trial.throughput - metrics.throughput;
     // A resolution is useful when it raised throughput OR cleared some of
     // the symptom (fewer backpressured operators).
-    const bool symptom_improved =
-        diagnose(trial).size() < bottlenecks.size();
+    const bool symptom_improved = diagnose(trial).size() < symptoms.size();
     if (!symptom_improved &&
         gain < params_.min_improvement * std::max(metrics.throughput, 1.0)) {
       // No benefit: roll back and blacklist this resolution.

@@ -19,7 +19,7 @@
 #include <set>
 #include <vector>
 
-#include "core/evaluator.hpp"
+#include "runtime/backend.hpp"
 #include "streamsim/topology.hpp"
 
 namespace autra::baselines {
@@ -48,8 +48,23 @@ class DhalionPolicy {
  public:
   DhalionPolicy(const sim::Topology& topology, DhalionParams params);
 
-  [[nodiscard]] DhalionResult run(const core::Evaluator& evaluate,
+  [[nodiscard]] DhalionResult run(const runtime::Evaluator& evaluate,
                                   const runtime::Parallelism& initial) const;
+
+  /// The symptoms one control step acts on: diagnose() plus every source
+  /// while Kafka lag grows (a source that cannot keep up). Empty means
+  /// the job is healthy.
+  [[nodiscard]] std::vector<std::size_t> bottlenecks(
+      const runtime::JobMetrics& metrics) const;
+
+  /// Resolution of one control step: `current` with each bottleneck's
+  /// culprit scaled by its observed pressure (at least +1, clamped to
+  /// [1, max_parallelism]). run() and the live resilience loop both step
+  /// through this.
+  [[nodiscard]] runtime::Parallelism resolve(
+      const runtime::JobMetrics& metrics,
+      const std::vector<std::size_t>& bottlenecks,
+      const runtime::Parallelism& current) const;
 
   /// Diagnosis step (exposed for tests): indices of backpressured
   /// operators (jammed input queues), most severe first.

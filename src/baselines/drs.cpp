@@ -139,7 +139,7 @@ runtime::Parallelism DrsPolicy::allocate(const runtime::JobMetrics& metrics,
   return config;
 }
 
-DrsResult DrsPolicy::run(const core::Evaluator& evaluate,
+DrsResult DrsPolicy::run(const runtime::Evaluator& evaluate,
                          const runtime::Parallelism& initial) const {
   if (initial.size() != topology_.num_operators()) {
     throw std::invalid_argument("DrsPolicy::run: initial config mismatch");

@@ -18,7 +18,7 @@
 
 #include <vector>
 
-#include "core/evaluator.hpp"
+#include "runtime/backend.hpp"
 #include "streamsim/topology.hpp"
 
 namespace autra::baselines {
@@ -85,7 +85,7 @@ class DrsPolicy {
  public:
   DrsPolicy(const sim::Topology& topology, DrsParams params);
 
-  [[nodiscard]] DrsResult run(const core::Evaluator& evaluate,
+  [[nodiscard]] DrsResult run(const runtime::Evaluator& evaluate,
                               const runtime::Parallelism& initial) const;
 
   /// The greedy allocation step given measured metrics (exposed for

@@ -11,7 +11,7 @@ Ds2Policy::Ds2Policy(const sim::Topology& topology, Ds2Params params)
   }
 }
 
-Ds2Result Ds2Policy::run(const core::Evaluator& evaluate,
+Ds2Result Ds2Policy::run(const runtime::Evaluator& evaluate,
                          const runtime::Parallelism& initial) const {
   if (initial.size() != topology_.num_operators()) {
     throw std::invalid_argument("Ds2Policy: initial config size mismatch");

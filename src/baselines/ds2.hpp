@@ -21,8 +21,8 @@
 // budget is exhausted.
 #pragma once
 
-#include "core/evaluator.hpp"
 #include "core/throughput_opt.hpp"
+#include "runtime/backend.hpp"
 #include "streamsim/topology.hpp"
 
 namespace autra::baselines {
@@ -51,7 +51,7 @@ class Ds2Policy {
   Ds2Policy(const sim::Topology& topology, Ds2Params params);
 
   /// Runs the DS2 convergence loop from `initial`.
-  [[nodiscard]] Ds2Result run(const core::Evaluator& evaluate,
+  [[nodiscard]] Ds2Result run(const runtime::Evaluator& evaluate,
                               const runtime::Parallelism& initial) const;
 
  private:

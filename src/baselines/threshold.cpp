@@ -32,7 +32,7 @@ runtime::Parallelism ThresholdPolicy::step(const runtime::JobMetrics& metrics) c
   return next;
 }
 
-ThresholdResult ThresholdPolicy::run(const core::Evaluator& evaluate,
+ThresholdResult ThresholdPolicy::run(const runtime::Evaluator& evaluate,
                                      const runtime::Parallelism& initial) const {
   ThresholdResult result;
   runtime::Parallelism current = initial;

@@ -7,7 +7,7 @@
 
 #include <vector>
 
-#include "core/evaluator.hpp"
+#include "runtime/backend.hpp"
 
 namespace autra::baselines {
 
@@ -32,7 +32,7 @@ class ThresholdPolicy {
  public:
   explicit ThresholdPolicy(ThresholdParams params);
 
-  [[nodiscard]] ThresholdResult run(const core::Evaluator& evaluate,
+  [[nodiscard]] ThresholdResult run(const runtime::Evaluator& evaluate,
                                     const runtime::Parallelism& initial) const;
 
   /// One reactive step (exposed for testing).

@@ -200,7 +200,7 @@ ControlDecision AuTraScaleController::plan_and_execute(
 
   // The Plan stage evaluates candidates on fresh-start trials of the same
   // job at the current rate (each is one real job restart in the paper).
-  const Evaluator evaluate =
+  const runtime::Evaluator evaluate =
       trials_->evaluator_at(rate, params_.policy_running_time_sec / 2.0,
                             params_.policy_running_time_sec / 2.0);
   const int max_parallelism = trials_->max_parallelism();

@@ -119,7 +119,7 @@ runtime::Parallelism RateAwareModel::recommend(const runtime::Parallelism& base,
   return best;
 }
 
-RateAwareResult run_rate_aware(const Evaluator& evaluate,
+RateAwareResult run_rate_aware(const runtime::Evaluator& evaluate,
                                const runtime::Parallelism& base, double rate,
                                RateAwareModel& model,
                                const RateAwareParams& params) {

@@ -92,10 +92,8 @@ class RateAwareModel {
 /// Optimisation loop at a new rate driven by the joint model: recommend,
 /// run for real, add the sample, refit — until the measured sample meets
 /// the steady-rate termination conditions or the budget runs out.
-[[nodiscard]] RateAwareResult run_rate_aware(const Evaluator& evaluate,
-                                             const runtime::Parallelism& base,
-                                             double rate,
-                                             RateAwareModel& model,
-                                             const RateAwareParams& params);
+[[nodiscard]] RateAwareResult run_rate_aware(
+    const runtime::Evaluator& evaluate, const runtime::Parallelism& base,
+    double rate, RateAwareModel& model, const RateAwareParams& params);
 
 }  // namespace autra::core

@@ -94,7 +94,7 @@ bool meets_requirements(const SamplePoint& sample,
   return sample.score >= params.score_threshold;
 }
 
-SteadyRateResult run_steady_rate(const Evaluator& evaluate,
+SteadyRateResult run_steady_rate(const runtime::Evaluator& evaluate,
                                  const runtime::Parallelism& base,
                                  const SteadyRateParams& params,
                                  std::span<const SamplePoint> seed_samples,

@@ -19,8 +19,8 @@
 #include <vector>
 
 #include "bayesopt/bayes_opt.hpp"
-#include "core/evaluator.hpp"
 #include "core/scoring.hpp"
+#include "runtime/backend.hpp"
 
 namespace autra::core {
 
@@ -59,8 +59,9 @@ struct SteadyRateParams {
   /// perturb committed golden decision streams.
   bool incremental = false;
   /// Observation-window cap on the surrogate when incremental is set: once
-  /// full, the oldest sample is evicted (O(cap^2) downdate) before the new
-  /// one is appended, bounding always-on controller state. 0 = unbounded.
+  /// full, the oldest sample is evicted (Cholesky::drop_first, an O(cap^2)
+  /// rank-1 update of the factor) before the new one is appended, bounding
+  /// always-on controller state. 0 = unbounded.
   int max_observations = 0;
 };
 
@@ -106,7 +107,7 @@ struct SteadyRateResult {
 /// evaluation is skipped when `skip_bootstrap` is set (the transfer path
 /// provides estimates of the bootstrap set instead of running it).
 [[nodiscard]] SteadyRateResult run_steady_rate(
-    const Evaluator& evaluate, const runtime::Parallelism& base,
+    const runtime::Evaluator& evaluate, const runtime::Parallelism& base,
     const SteadyRateParams& params,
     std::span<const SamplePoint> seed_samples = {},
     bool skip_bootstrap = false);

@@ -63,7 +63,8 @@ ThroughputOptimizer::ThroughputOptimizer(const sim::Topology& topology,
 }
 
 ThroughputOptResult ThroughputOptimizer::optimize(
-    const Evaluator& evaluate, const runtime::Parallelism& initial) const {
+    const runtime::Evaluator& evaluate,
+    const runtime::Parallelism& initial) const {
   if (initial.size() != topology_.num_operators()) {
     throw std::invalid_argument(
         "ThroughputOptimizer: initial configuration size mismatch");

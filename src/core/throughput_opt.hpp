@@ -19,7 +19,7 @@
 
 #include <vector>
 
-#include "core/evaluator.hpp"
+#include "runtime/backend.hpp"
 #include "streamsim/topology.hpp"
 
 namespace autra::core {
@@ -68,7 +68,8 @@ class ThroughputOptimizer {
   /// Runs the iterative optimisation from `initial` (the paper starts all
   /// workloads at parallelism 1).
   [[nodiscard]] ThroughputOptResult optimize(
-      const Evaluator& evaluate, const runtime::Parallelism& initial) const;
+      const runtime::Evaluator& evaluate,
+      const runtime::Parallelism& initial) const;
 
  private:
   const sim::Topology& topology_;

@@ -119,7 +119,7 @@ bool ModelLibrary::has_model_for(double rate, double tolerance) const {
   return m != nullptr && std::abs(m->rate - rate) / rate <= tolerance;
 }
 
-TransferResult run_transfer(const Evaluator& evaluate,
+TransferResult run_transfer(const runtime::Evaluator& evaluate,
                             const runtime::Parallelism& base,
                             const BenefitModel& prior,
                             const TransferParams& params,

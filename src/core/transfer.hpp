@@ -119,7 +119,7 @@ struct TransferResult {
 /// base configuration); when empty, the base configuration is evaluated
 /// first to seed the residual model.
 [[nodiscard]] TransferResult run_transfer(
-    const Evaluator& evaluate, const runtime::Parallelism& base,
+    const runtime::Evaluator& evaluate, const runtime::Parallelism& base,
     const BenefitModel& prior, const TransferParams& params,
     std::vector<SamplePoint> initial_real = {});
 

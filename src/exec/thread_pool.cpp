@@ -23,11 +23,6 @@ void ThreadPool::ensure_workers(unsigned n) {
   }
 }
 
-unsigned ThreadPool::workers() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<unsigned>(threads_.size());
-}
-
 void ThreadPool::post(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mu_);

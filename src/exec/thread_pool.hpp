@@ -29,8 +29,6 @@ class ThreadPool {
   /// Grows the pool to at least `n` workers (never shrinks).
   void ensure_workers(unsigned n);
 
-  [[nodiscard]] unsigned workers() const;
-
   /// Enqueues `task` for execution on some worker. Every posted task runs
   /// exactly once; there is no cancellation.
   void post(std::function<void()> task);
@@ -38,7 +36,7 @@ class ThreadPool {
  private:
   void worker_loop();
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   std::deque<std::function<void()>> queue_;
   std::vector<std::thread> threads_;

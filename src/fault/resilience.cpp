@@ -1,7 +1,6 @@
 #include "fault/resilience.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "baselines/dhalion.hpp"
@@ -14,39 +13,6 @@
 namespace autra::fault {
 
 namespace {
-
-/// One live Dhalion control step: the same diagnose -> culprit -> pressure
-/// resolution DhalionPolicy::run applies offline, against the latest
-/// window snapshot. No rollback/blacklist — a live loop cannot replay a
-/// window to compare.
-runtime::Parallelism dhalion_step(const baselines::DhalionPolicy& policy,
-                                  const sim::Topology& topology,
-                                  const runtime::JobMetrics& m,
-                                  int max_parallelism) {
-  std::vector<std::size_t> bottlenecks = policy.diagnose(m);
-  if (m.lag_growth_per_sec > 0.01 * std::max(m.input_rate, 1.0)) {
-    for (std::size_t s : topology.sources()) {
-      if (std::find(bottlenecks.begin(), bottlenecks.end(), s) ==
-          bottlenecks.end()) {
-        bottlenecks.push_back(s);
-      }
-    }
-  }
-  runtime::Parallelism next = m.parallelism;
-  for (std::size_t b : bottlenecks) {
-    const std::size_t op = policy.culprit_of(m, b);
-    const runtime::OperatorRates& r = m.operators[op];
-    const double capacity =
-        r.true_rate_per_instance * std::max(r.parallelism, 1);
-    const double demand =
-        std::max(r.total_input_rate, m.operators[b].total_input_rate);
-    const double pressure = capacity > 0.0 ? demand / capacity : 1.5;
-    const int target = static_cast<int>(
-        std::ceil(next[op] * std::max(pressure, 1.0 + 1e-3)));
-    next[op] = std::clamp(std::max(target, next[op] + 1), 1, max_parallelism);
-  }
-  return next;
-}
 
 /// Fills the QoS half of the report from the session's ground-truth
 /// history (gauges arrive at ~1 Hz, so sample counts are seconds).
@@ -170,7 +136,7 @@ ResilienceReport run_resilience(const std::string& policy,
         next = core::scale_step(job.topology, m, m.input_rate,
                                 max_parallelism);
       } else {
-        next = dhalion_step(dhalion, job.topology, m, max_parallelism);
+        next = dhalion.resolve(m, dhalion.bottlenecks(m), m.parallelism);
       }
       if (next == faulted.parallelism()) continue;
       try {

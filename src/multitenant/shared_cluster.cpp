@@ -6,18 +6,6 @@
 
 namespace autra::mt {
 
-const char* to_string(ArbiterPolicy policy) noexcept {
-  switch (policy) {
-    case ArbiterPolicy::kAlwaysAdmit:
-      return "always-admit";
-    case ArbiterPolicy::kQuota:
-      return "quota";
-    case ArbiterPolicy::kWeightedFair:
-      return "weighted-fair";
-  }
-  return "unknown";
-}
-
 ClusterArbiter::ClusterArbiter(ArbiterParams params, int total_slots)
     : params_(params), total_slots_(total_slots) {
   if (total_slots_ <= 0) {

@@ -39,8 +39,6 @@ enum class ArbiterPolicy {
   kWeightedFair,
 };
 
-[[nodiscard]] const char* to_string(ArbiterPolicy policy) noexcept;
-
 struct ArbiterParams {
   ArbiterPolicy policy = ArbiterPolicy::kAlwaysAdmit;
   /// kQuota: slots any one tenant may occupy; 0 means no ceiling.

@@ -1,6 +1,7 @@
 #include "runtime/metrics.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <ostream>
 #include <set>
@@ -52,6 +53,10 @@ const MetricStore::Series* MetricStore::series_ptr(MetricId id) const {
 void MetricStore::record(MetricId id, double time, double value) {
   if (!id.valid() || id.value() >= series_.size()) {
     throw std::out_of_range("MetricStore::record: id not from this store");
+  }
+  if (!std::isfinite(time) || !std::isfinite(value)) {
+    ++nonfinite_dropped_;
+    return;
   }
   Series& s = series_[id.value()];
   if (!s.times.empty() && time < s.times.back()) {
@@ -121,6 +126,7 @@ bool MetricStore::has_series(const std::string& name) const {
 void MetricStore::clear() {
   registry_.clear();
   series_.clear();
+  nonfinite_dropped_ = 0;
 }
 
 void MetricStore::write_csv(std::ostream& out,

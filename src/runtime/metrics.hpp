@@ -4,11 +4,11 @@
 // The hot path is the per-tick gauge write of a streaming backend. A
 // series name is interned into a dense MetricId exactly once (at backend
 // construction); every subsequent write is an id-indexed vector append —
-// zero string construction, zero map lookups. Reads keep the convenient
-// string-keyed API of the original MetricsDb for cold paths (tests, CSV
-// export), while policy-interval consumers resolve ids once and read
-// incrementally maintained window sums (per-series cumulative sums make a
-// window mean two binary searches plus a subtraction, never a copy).
+// zero string construction, zero map lookups. Reads keep a string-keyed
+// API for cold paths (tests, CSV export), while policy-interval consumers
+// resolve ids once and read incrementally maintained window sums
+// (per-series cumulative sums make a window mean two binary searches plus
+// a subtraction, never a copy).
 #pragma once
 
 #include <cstdint>
@@ -97,7 +97,16 @@ class MetricStore final : public MetricSink {
   // --- id-based hot path -------------------------------------------------
   MetricId resolve(std::string_view name) override;
   [[nodiscard]] MetricId find(std::string_view name) const;
+  /// A point whose time or value is not finite is dropped before it
+  /// reaches the series or its running sum, and counted in
+  /// nonfinite_dropped(); a finite time earlier than the series' last
+  /// still throws.
   void record(MetricId id, double time, double value) override;
+
+  /// Points record() dropped for a non-finite time or value.
+  [[nodiscard]] std::uint64_t nonfinite_dropped() const noexcept {
+    return nonfinite_dropped_;
+  }
 
   /// Columnar view of one series; empty spans for an invalid/unknown id.
   struct SeriesView {
@@ -127,8 +136,9 @@ class MetricStore final : public MetricSink {
     return registry_;
   }
 
-  /// Drops every series *and* the registry: previously resolved ids are
-  /// invalidated and must be re-resolved.
+  /// Drops every series *and* the registry (and zeroes
+  /// nonfinite_dropped()): previously resolved ids are invalidated and must
+  /// be re-resolved.
   void clear();
 
   /// Writes the selected series as CSV (`time,<series...>`), one row per
@@ -151,6 +161,7 @@ class MetricStore final : public MetricSink {
 
   MetricRegistry registry_;
   std::vector<Series> series_;
+  std::uint64_t nonfinite_dropped_ = 0;
 };
 
 /// Flink-like metric path helpers.

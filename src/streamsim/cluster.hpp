@@ -16,6 +16,7 @@ namespace autra::sim {
 
 /// Parallelism configuration of a job: one entry per operator, in topology
 /// operator-index order (defined in the backend-neutral runtime layer).
+/// Kept as a second spelling because bench/e2e/autra_e2e.cpp spells it.
 using Parallelism = runtime::Parallelism;
 
 struct MachineSpec {

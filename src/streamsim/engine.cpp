@@ -130,7 +130,7 @@ Engine::Engine(Topology topology, Cluster cluster, Parallelism parallelism,
 
 Engine::MetricIdSet Engine::resolve_metric_ids(
     runtime::MetricSink& sink) const {
-  namespace mn = metric_names;
+  namespace mn = runtime::metric_names;
   MetricIdSet ids;
   ids.op.reserve(topo_.num_operators());
   for (std::size_t i = 0; i < topo_.num_operators(); ++i) {
@@ -673,7 +673,7 @@ void Engine::suspend_until(double until_sec) {
   suspended_until_ = std::max(suspended_until_, until_sec);
 }
 
-OperatorRates Engine::rates(std::size_t op) const {
+runtime::OperatorRates Engine::rates(std::size_t op) const {
   if (op >= topo_.num_operators()) {
     throw std::out_of_range("Engine::rates: bad operator index");
   }
@@ -687,11 +687,11 @@ const OperatorCounters& Engine::counters(std::size_t op) const {
   return state_[op].counters;
 }
 
-OperatorRates Engine::rates_from(std::size_t op,
-                                 const OperatorCounters& c) const {
+runtime::OperatorRates Engine::rates_from(std::size_t op,
+                                          const OperatorCounters& c) const {
   const int k = parallelism_[op];
 
-  OperatorRates r;
+  runtime::OperatorRates r;
   r.parallelism = k;
   r.queue_length = queue_mass_[op];
 
@@ -767,7 +767,7 @@ void Engine::write_metrics() {
     }
   };
   for (std::size_t i = 0; i < topo_.num_operators(); ++i) {
-    const OperatorRates r = rates_from(i, state_[i].interval);
+    const runtime::OperatorRates r = rates_from(i, state_[i].interval);
     const auto op = [i](const MetricIdSet& s) -> const MetricIdSet::PerOp& {
       return s.op[i];
     };

@@ -41,13 +41,13 @@
 
 #include "exec/exec.hpp"
 #include "runtime/job_metrics.hpp"
+#include "runtime/metrics.hpp"
 #include "streamsim/cluster.hpp"
 #include "streamsim/external_service.hpp"
 #include "streamsim/fault_timeline.hpp"
 #include "streamsim/interference.hpp"
 #include "streamsim/kafka.hpp"
 #include "streamsim/latency.hpp"
-#include "streamsim/metrics.hpp"
 #include "streamsim/network.hpp"
 #include "streamsim/topology.hpp"
 
@@ -97,7 +97,7 @@ struct EngineParams {
   /// JobMetrics::latency_percentiles stays empty. Either way every other
   /// observable is bit-identical.
   bool latency_percentiles = false;
-  /// How often gauges are written to the MetricsDb.
+  /// How often gauges are written to the MetricStore.
   double metric_interval_sec = 1.0;
   /// Multiplicative Gaussian noise applied to *recorded* metrics.
   double measurement_noise = 0.02;
@@ -143,9 +143,6 @@ struct EngineEpochStats {
   std::uint64_t full_refreshes = 0;     ///< Whole-cluster cache refolds.
   std::uint64_t machine_refreshes = 0;  ///< Machine-granular factor updates.
 };
-
-/// Live snapshot of one operator's rates (backend-neutral runtime type).
-using OperatorRates = runtime::OperatorRates;
 
 class Engine {
  public:
@@ -228,8 +225,10 @@ class Engine {
     return network_;
   }
 
-  [[nodiscard]] MetricsDb& metrics() noexcept { return metrics_; }
-  [[nodiscard]] const MetricsDb& metrics() const noexcept { return metrics_; }
+  [[nodiscard]] runtime::MetricStore& metrics() noexcept { return metrics_; }
+  [[nodiscard]] const runtime::MetricStore& metrics() const noexcept {
+    return metrics_;
+  }
 
   /// Additional metric sink written alongside the internal one; used by
   /// ScalingSession to keep one continuous time series across restarts.
@@ -263,7 +262,7 @@ class Engine {
   }
 
   /// Rates over the window since the last reset_counters() call.
-  [[nodiscard]] OperatorRates rates(std::size_t op) const;
+  [[nodiscard]] runtime::OperatorRates rates(std::size_t op) const;
 
   /// Raw per-operator counters since the last reset_counters() — the mass
   /// ledger the conservation property tests audit (records in = processed
@@ -351,8 +350,8 @@ class Engine {
   /// by the constructor and add_external_service (nothing else moves it).
   [[nodiscard]] double compute_latency_floor_sec() const;
 
-  [[nodiscard]] OperatorRates rates_from(std::size_t op,
-                                         const OperatorCounters& c) const;
+  [[nodiscard]] runtime::OperatorRates rates_from(
+      std::size_t op, const OperatorCounters& c) const;
 
   void push_downstream(std::size_t op, double mass, double produced,
                        double ingested);
@@ -449,7 +448,7 @@ class Engine {
   bool sb_drift_ = false;
   EngineEpochStats epoch_stats_;
 
-  MetricsDb metrics_;
+  runtime::MetricStore metrics_;
   MetricIdSet metric_ids_;
   runtime::MetricSink* external_metrics_ = nullptr;
   MetricIdSet external_ids_;

@@ -16,6 +16,49 @@ double JobSpec::initial_rate() const {
   return schedule->rate_at(0.0);
 }
 
+namespace {
+
+/// An engine for `spec` over `kafka` with the spec's external services
+/// registered; the callers own the seed arithmetic and the Kafka log.
+std::unique_ptr<Engine> build_engine(const JobSpec& spec, const Parallelism& p,
+                                     std::unique_ptr<KafkaLog> kafka,
+                                     const EngineParams& params) {
+  auto engine = std::make_unique<Engine>(spec.topology, Cluster(spec.cluster),
+                                         p, std::move(kafka), params);
+  for (const ExternalServiceSpec& svc : spec.services) {
+    engine->add_external_service(
+        ExternalService(svc.name, svc.max_calls_per_sec, svc.burst_sec,
+                        svc.call_latency_ms));
+  }
+  return engine;
+}
+
+/// The trial evaluator behind make_runner_evaluator() and
+/// SimTrialService::evaluator_at(): `runner` is a pointer the caller keeps
+/// alive or a shared_ptr the evaluator owns. Noise seeds derive from the
+/// configuration itself (plus a mutex-guarded rerun counter), never from a
+/// shared call counter: concurrent or reordered evaluations see the same
+/// noise a serial run would, which the TrialService contract requires for
+/// thread-count-independent decisions.
+template <class RunnerPtr>
+runtime::Evaluator rerun_evaluator(RunnerPtr runner) {
+  struct Reruns {
+    std::mutex mu;
+    std::map<Parallelism, std::uint64_t> counts;
+  };
+  auto reruns = std::make_shared<Reruns>();
+  return [runner = std::move(runner), reruns](const Parallelism& p) {
+    std::uint64_t rerun = 0;
+    {
+      const std::lock_guard<std::mutex> lock(reruns->mu);
+      rerun = reruns->counts[p]++;
+    }
+    return runner->measure(p, runtime::trial_seed_salt(p) + rerun);
+  };
+}
+
+}  // namespace
+
 std::unique_ptr<Engine> make_engine(const JobSpec& spec, const Parallelism& p,
                                     double start_time,
                                     std::uint64_t seed_salt) {
@@ -25,28 +68,22 @@ std::unique_ptr<Engine> make_engine(const JobSpec& spec, const Parallelism& p,
   EngineParams params = spec.engine;
   params.start_time = start_time;
   params.seed += seed_salt * 7919;  // decorrelate reruns
-  auto engine = std::make_unique<Engine>(
-      spec.topology, Cluster(spec.cluster), p,
-      std::make_unique<KafkaLog>(spec.schedule), params);
-  for (const ExternalServiceSpec& svc : spec.services) {
-    engine->add_external_service(
-        ExternalService(svc.name, svc.max_calls_per_sec, svc.burst_sec,
-                        svc.call_latency_ms));
-  }
-  return engine;
+  return build_engine(spec, p, std::make_unique<KafkaLog>(spec.schedule),
+                      params);
 }
 
-JobMetrics snapshot(const Engine& engine) {
-  JobMetrics m;
+runtime::JobMetrics snapshot(const Engine& engine) {
+  runtime::JobMetrics m;
   m.parallelism = engine.parallelism();
   m.throughput = engine.throughput();
   m.input_rate = engine.kafka().rate_at(engine.now());
   m.latency_ms = engine.processing_latency().mean() * 1000.0;
   if (const LatencyStats* dist = engine.processing_latency_distribution()) {
     const std::vector<double> q = dist->quantiles(std::array{0.5, 0.95, 0.99});
-    m.latency_percentiles = LatencyPercentiles{.p50_ms = q[0] * 1000.0,
-                                               .p95_ms = q[1] * 1000.0,
-                                               .p99_ms = q[2] * 1000.0};
+    m.latency_percentiles =
+        runtime::LatencyPercentiles{.p50_ms = q[0] * 1000.0,
+                                    .p95_ms = q[1] * 1000.0,
+                                    .p99_ms = q[2] * 1000.0};
   }
   m.event_latency_ms = engine.event_latency().mean() * 1000.0;
   m.kafka_lag = engine.kafka().lag();
@@ -71,15 +108,19 @@ int JobRunner::max_parallelism() const {
   return Cluster(spec_.cluster).max_parallelism();
 }
 
-JobMetrics JobRunner::measure(const Parallelism& p,
-                              std::uint64_t seed_salt) const {
+runtime::JobMetrics JobRunner::measure(const Parallelism& p,
+                                       std::uint64_t seed_salt) const {
   auto engine = make_engine(spec_, p, 0.0, seed_salt);
   engine->run_until(params_.warmup_sec);
   engine->reset_counters();
   engine->run_until(params_.warmup_sec + params_.measure_sec);
-  JobMetrics m = snapshot(*engine);
+  runtime::JobMetrics m = snapshot(*engine);
   ++evaluations_;
   return m;
+}
+
+runtime::Evaluator make_runner_evaluator(const JobRunner& runner) {
+  return rerun_evaluator(&runner);
 }
 
 ScalingSession::ScalingSession(JobSpec spec, Parallelism initial,
@@ -104,15 +145,7 @@ void ScalingSession::run_to(double until_sec) {
   for (;;) {
     bool* pending = nullptr;
     double restart_at = 0.0;
-    for (MachineDownFault& f : machine_down_faults_) {
-      const double at = f.from + f.detect;
-      if (f.restarted || at > target) continue;
-      if (pending == nullptr || at < restart_at) {
-        pending = &f.restarted;
-        restart_at = at;
-      }
-    }
-    for (RackDownFault& f : rack_down_faults_) {
+    for (CrashFault& f : crash_faults_) {
       const double at = f.from + f.detect;
       if (f.restarted || at > target) continue;
       if (pending == nullptr || at < restart_at) {
@@ -130,9 +163,10 @@ void ScalingSession::run_to(double until_sec) {
   engine_->run_until(target);
 }
 
-void ScalingSession::reconfigure(const Parallelism& p, RescaleMode mode) {
+void ScalingSession::reconfigure(const Parallelism& p,
+                                 runtime::RescaleMode mode) {
   if (p == engine_->parallelism()) return;
-  if (mode == RescaleMode::kHotScaleOut) {
+  if (mode == runtime::RescaleMode::kHotScaleOut) {
     const Parallelism& current = engine_->parallelism();
     for (std::size_t i = 0; i < p.size() && i < current.size(); ++i) {
       if (p[i] < current[i]) {
@@ -141,7 +175,7 @@ void ScalingSession::reconfigure(const Parallelism& p, RescaleMode mode) {
       }
     }
   }
-  rebuild_engine(p, mode == RescaleMode::kHotScaleOut
+  rebuild_engine(p, mode == runtime::RescaleMode::kHotScaleOut
                         ? params_.hot_downtime_sec
                         : params_.restart_downtime_sec);
 }
@@ -178,18 +212,10 @@ void ScalingSession::rebuild_engine(const Parallelism& p, double downtime) {
       uplink_consumed_base_[r] += consumed[r];
     }
   }
-  std::unique_ptr<KafkaLog> kafka = engine_->release_kafka();
-
   EngineParams params = spec_.engine;
   params.start_time = t;
   params.seed += ++reconfig_salt_ * 104729;
-  auto next = std::make_unique<Engine>(spec_.topology, Cluster(spec_.cluster),
-                                       p, std::move(kafka), params);
-  for (const ExternalServiceSpec& svc : spec_.services) {
-    next->add_external_service(
-        ExternalService(svc.name, svc.max_calls_per_sec, svc.burst_sec,
-                        svc.call_latency_ms));
-  }
+  auto next = build_engine(spec_, p, engine_->release_kafka(), params);
   apply_faults_to(*next);
   next->set_external_metrics(&history_);
   // Co-tenant interference survives the rebuild too (empty vectors are
@@ -206,8 +232,10 @@ void ScalingSession::rebuild_engine(const Parallelism& p, double downtime) {
 }
 
 void ScalingSession::apply_faults_to(Engine& engine) const {
-  for (const MachineDownFault& f : machine_down_faults_) {
-    engine.inject_machine_down(f.machine, f.from, f.until);
+  for (const CrashFault& f : crash_faults_) {
+    for (std::size_t m : f.machines) {
+      engine.inject_machine_down(m, f.from, f.until);
+    }
   }
   for (const SlowNodeFault& f : slow_node_faults_) {
     engine.inject_slowdown(f.machine, f.factor, f.from, f.until);
@@ -218,11 +246,6 @@ void ScalingSession::apply_faults_to(Engine& engine) const {
   for (const StallFault& f : stall_faults_) {
     engine.inject_ingest_stall(f.from, f.until);
   }
-  for (const RackDownFault& f : rack_down_faults_) {
-    for (std::size_t m : f.machines) {
-      engine.inject_machine_down(m, f.from, f.until);
-    }
-  }
   for (const PartitionFault& f : partition_faults_) {
     engine.inject_network_partition(f.island, f.from, f.until);
   }
@@ -231,13 +254,7 @@ void ScalingSession::apply_faults_to(Engine& engine) const {
 void ScalingSession::host_machine_down(std::size_t machine, double from_sec,
                                        double until_sec,
                                        double detection_delay_sec) {
-  if (detection_delay_sec < 0.0) {
-    throw std::invalid_argument(
-        "ScalingSession: negative machine-down detection delay");
-  }
-  engine_->inject_machine_down(machine, from_sec, until_sec);  // validates
-  machine_down_faults_.push_back(
-      {machine, from_sec, until_sec, detection_delay_sec, false});
+  host_rack_down({machine}, from_sec, until_sec, detection_delay_sec);
 }
 
 void ScalingSession::host_slow_node(std::size_t machine, double speed_factor,
@@ -263,23 +280,22 @@ void ScalingSession::host_rack_down(const std::vector<std::size_t>& machines,
                                     double detection_delay_sec) {
   if (detection_delay_sec < 0.0) {
     throw std::invalid_argument(
-        "ScalingSession: negative rack-down detection delay");
+        "ScalingSession: negative crash detection delay");
   }
   // Validate everything before touching the engine so a bad group leaves
   // no partial crash behind.
   if (machines.empty() || until_sec <= from_sec) {
-    throw std::invalid_argument("ScalingSession::host_rack_down: bad group");
+    throw std::invalid_argument("ScalingSession: bad crash group or window");
   }
   for (std::size_t m : machines) {
     if (m >= engine_->cluster().num_machines()) {
-      throw std::invalid_argument(
-          "ScalingSession::host_rack_down: bad machine index");
+      throw std::invalid_argument("ScalingSession: bad crash machine index");
     }
   }
   for (std::size_t m : machines) {
     engine_->inject_machine_down(m, from_sec, until_sec);
   }
-  rack_down_faults_.push_back(
+  crash_faults_.push_back(
       {machines, from_sec, until_sec, detection_delay_sec, false});
 }
 
@@ -290,7 +306,7 @@ void ScalingSession::host_network_partition(
   partition_faults_.push_back({island, from_sec, until_sec});
 }
 
-JobMetrics ScalingSession::window_metrics() const {
+runtime::JobMetrics ScalingSession::window_metrics() const {
   return snapshot(*engine_);
 }
 
@@ -308,26 +324,9 @@ runtime::Evaluator SimTrialService::evaluator_at(double rate,
                                                  double measure_sec) const {
   JobSpec trial_spec = spec_;
   trial_spec.schedule = std::make_shared<ConstantRate>(rate);
-  auto runner = std::make_shared<JobRunner>(
+  return rerun_evaluator(std::make_shared<JobRunner>(
       std::move(trial_spec),
-      RunnerParams{.warmup_sec = warmup_sec, .measure_sec = measure_sec});
-  // Noise seeds derive from the configuration itself (plus a mutex-guarded
-  // rerun counter), never from a shared call counter: concurrent or
-  // reordered evaluations see the same noise a serial run would, which the
-  // TrialService contract requires for thread-count-independent decisions.
-  struct Reruns {
-    std::mutex mu;
-    std::map<Parallelism, std::uint64_t> counts;
-  };
-  auto reruns = std::make_shared<Reruns>();
-  return [runner, reruns](const Parallelism& p) {
-    std::uint64_t rerun = 0;
-    {
-      const std::lock_guard<std::mutex> lock(reruns->mu);
-      rerun = reruns->counts[p]++;
-    }
-    return runner->measure(p, runtime::trial_seed_salt(p) + rerun);
-  };
+      RunnerParams{.warmup_sec = warmup_sec, .measure_sec = measure_sec}));
 }
 
 int SimTrialService::max_parallelism() const {

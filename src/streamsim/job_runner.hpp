@@ -47,10 +47,6 @@ struct JobSpec {
   [[nodiscard]] double initial_rate() const;
 };
 
-/// QoS snapshot of one measurement window (backend-neutral runtime type).
-using JobMetrics = runtime::JobMetrics;
-using LatencyPercentiles = runtime::LatencyPercentiles;
-
 /// Builds an engine for a spec (shared by JobRunner and ScalingSession).
 [[nodiscard]] std::unique_ptr<Engine> make_engine(const JobSpec& spec,
                                                   const Parallelism& p,
@@ -59,7 +55,7 @@ using LatencyPercentiles = runtime::LatencyPercentiles;
 
 /// Collects a JobMetrics snapshot from an engine's current window; the
 /// latency percentiles only when the engine keeps their distribution.
-[[nodiscard]] JobMetrics snapshot(const Engine& engine);
+[[nodiscard]] runtime::JobMetrics snapshot(const Engine& engine);
 
 /// Evaluation windows of a fresh-start JobRunner measurement (aggregate
 /// with defaulted members, like ResilienceParams — designated initializers
@@ -82,8 +78,8 @@ class JobRunner {
   /// repeated evaluations differ like real reruns do. Safe to call
   /// concurrently: each call builds its own engine and shares only the
   /// immutable spec.
-  [[nodiscard]] JobMetrics measure(const Parallelism& p,
-                                   std::uint64_t seed_salt = 0) const;
+  [[nodiscard]] runtime::JobMetrics measure(const Parallelism& p,
+                                            std::uint64_t seed_salt = 0) const;
 
   [[nodiscard]] const JobSpec& spec() const noexcept { return spec_; }
   [[nodiscard]] int max_parallelism() const;
@@ -109,8 +105,13 @@ class JobRunner {
   mutable std::atomic<int> evaluations_{0};
 };
 
-/// How a reconfiguration is applied (backend-neutral runtime type).
-using RescaleMode = runtime::RescaleMode;
+/// Evaluator backed by fresh-start measure() calls on `runner`, which must
+/// outlive it. Each call's noise salt derives from the configuration
+/// measured plus a per-config rerun counter (runtime::trial_seed_salt), so
+/// repeated evaluations differ like real reruns while staying independent
+/// of the order calls are issued in — safe for concurrent use from the
+/// Plan stage.
+[[nodiscard]] runtime::Evaluator make_runner_evaluator(const JobRunner& runner);
 
 /// Restart-cost knobs of a long-running ScalingSession (aggregate with
 /// defaulted members; see RunnerParams).
@@ -150,11 +151,12 @@ class ScalingSession final : public runtime::StreamingBackend,
   /// Applies `p`, preserving the Kafka log and the wall clock. No-op if
   /// `p` equals the current config. kHotScaleOut throws
   /// std::invalid_argument when any operator shrinks.
-  void reconfigure(const Parallelism& p,
-                   RescaleMode mode = RescaleMode::kColdRestart) override;
+  void reconfigure(
+      const Parallelism& p,
+      runtime::RescaleMode mode = runtime::RescaleMode::kColdRestart) override;
 
   /// Metrics accumulated since the last reset_window()/reconfigure().
-  [[nodiscard]] JobMetrics window_metrics() const override;
+  [[nodiscard]] runtime::JobMetrics window_metrics() const override;
   void reset_window() override;
 
   [[nodiscard]] double now() const noexcept override { return engine_->now(); }
@@ -162,7 +164,7 @@ class ScalingSession final : public runtime::StreamingBackend,
     return engine_->parallelism();
   }
   [[nodiscard]] Engine& engine() noexcept { return *engine_; }
-  [[nodiscard]] const MetricsDb& history() const noexcept override {
+  [[nodiscard]] const runtime::MetricStore& history() const noexcept override {
     return history_;
   }
   [[nodiscard]] int restarts() const noexcept override { return restarts_; }
@@ -209,12 +211,13 @@ class ScalingSession final : public runtime::StreamingBackend,
                               double from_sec, double until_sec) override;
 
  private:
-  struct MachineDownFault {
-    std::size_t machine = 0;
+  /// A machine or rack crash; a single machine is a group of one.
+  struct CrashFault {
+    std::vector<std::size_t> machines;
     double from = 0.0;
     double until = 0.0;
-    double detect = 0.0;      ///< Detection delay after `from`, seconds.
-    bool restarted = false;   ///< Forced restart already performed.
+    double detect = 0.0;     ///< Detection delay after `from`, seconds.
+    bool restarted = false;  ///< One forced restart for the whole group.
   };
   struct SlowNodeFault {
     std::size_t machine = 0;
@@ -230,13 +233,6 @@ class ScalingSession final : public runtime::StreamingBackend,
   struct StallFault {
     double from = 0.0;
     double until = 0.0;
-  };
-  struct RackDownFault {
-    std::vector<std::size_t> machines;
-    double from = 0.0;
-    double until = 0.0;
-    double detect = 0.0;     ///< Shared detection delay, seconds.
-    bool restarted = false;  ///< One forced restart for the whole group.
   };
   struct PartitionFault {
     std::vector<std::size_t> island;
@@ -255,7 +251,7 @@ class ScalingSession final : public runtime::StreamingBackend,
   JobSpec spec_;
   SessionParams params_;
   std::unique_ptr<Engine> engine_;
-  MetricsDb history_;
+  runtime::MetricStore history_;
   int restarts_ = 0;
   int failure_restarts_ = 0;
   std::uint64_t reconfig_salt_ = 0;
@@ -264,19 +260,16 @@ class ScalingSession final : public runtime::StreamingBackend,
   std::vector<double> external_uplink_load_;
   /// Uplink records consumed by engines already torn down.
   std::vector<double> uplink_consumed_base_;
-  std::vector<MachineDownFault> machine_down_faults_;
+  std::vector<CrashFault> crash_faults_;
   std::vector<SlowNodeFault> slow_node_faults_;
   std::vector<ServiceOutageFault> service_outage_faults_;
   std::vector<StallFault> stall_faults_;
-  std::vector<RackDownFault> rack_down_faults_;
   std::vector<PartitionFault> partition_faults_;
 };
 
 /// The simulator's Plan-stage trial provider: every evaluator_at() call
-/// wraps a fresh-start JobRunner pinned at a constant rate. Noise salts
-/// are derived per configuration (plus a rerun counter), so repeated
-/// trials differ like real reruns while concurrent evaluations stay
-/// order-independent — the returned evaluator satisfies the
+/// returns the make_runner_evaluator() evaluator over a fresh-start
+/// JobRunner it owns, pinned at a constant rate, so it satisfies the
 /// const-thread-safety contract of runtime::TrialService.
 class SimTrialService final : public runtime::TrialService {
  public:

@@ -12,9 +12,9 @@
 namespace autra::baselines {
 namespace {
 
-using core::Evaluator;
+using runtime::Evaluator;
 using sim::ConstantRate;
-using sim::JobMetrics;
+using runtime::JobMetrics;
 using sim::Parallelism;
 
 TEST(MmkSojourn, MM1MatchesClosedForm) {
@@ -63,7 +63,7 @@ JobMetrics metrics_with_rates(const Parallelism& p, double true_rate,
   m.input_rate = 1000.0;
   m.throughput = throughput;
   for (int i = 0; i < 3; ++i) {
-    sim::OperatorRates r;
+    runtime::OperatorRates r;
     r.true_rate_per_instance = true_rate;
     r.observed_rate_per_instance = observed_rate;
     r.total_input_rate = 1000.0;
@@ -124,7 +124,7 @@ TEST(Ds2, WordCountConverges) {
   spec.engine.measurement_noise = 0.0;
   sim::JobRunner runner(std::move(spec),
       {.warmup_sec = 40.0, .measure_sec = 40.0});
-  const Evaluator eval = core::make_runner_evaluator(runner);
+  const Evaluator eval = sim::make_runner_evaluator(runner);
   const Ds2Policy policy(runner.spec().topology,
                          {.target_throughput = 350000.0,
                           .max_parallelism = runner.max_parallelism()});
@@ -260,7 +260,7 @@ TEST(Drs, ModelErrorVisibleOnRealJob) {
   spec.engine.measurement_noise = 0.0;
   sim::JobRunner runner(std::move(spec),
       {.warmup_sec = 40.0, .measure_sec = 40.0});
-  const Evaluator eval = core::make_runner_evaluator(runner);
+  const Evaluator eval = sim::make_runner_evaluator(runner);
   const DrsPolicy policy(runner.spec().topology,
                          {.target_latency_ms = 30.0,
                           .target_throughput = 350000.0,

@@ -47,7 +47,7 @@ TEST(MetricAggregator, EmptyWindowYieldsZeros) {
   auto spec = quiet(autra::workloads::synthetic_chain(
       3, std::make_shared<ConstantRate>(100.0), 10.0));
   const MetricAggregator agg(spec.topology);
-  const sim::MetricsDb empty;
+  const runtime::MetricStore empty;
   const AggregatedMetrics m = agg.aggregate(empty, 0.0, 10.0);
   EXPECT_DOUBLE_EQ(m.throughput, 0.0);
   EXPECT_DOUBLE_EQ(m.latency_ms, 0.0);

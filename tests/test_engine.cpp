@@ -96,8 +96,8 @@ TEST(Engine, RecordConservationThroughSelectivity) {
   e->run_until(30.0);
   e->reset_counters();
   e->run_until(90.0);
-  const OperatorRates mid = e->rates(1);
-  const OperatorRates sink = e->rates(2);
+  const runtime::OperatorRates mid = e->rates(1);
+  const runtime::OperatorRates sink = e->rates(2);
   // mid doubles the stream: sink input == 2x mid input.
   EXPECT_NEAR(mid.total_output_rate, 2.0 * mid.total_input_rate,
               0.05 * mid.total_output_rate);
@@ -111,7 +111,7 @@ TEST(Engine, TrueRateMatchesCostModelWhenUncontended) {
   e->reset_counters();
   e->run_until(60.0);
   // mid: 5 us/record -> 200k records/s true rate; busy fraction 25%.
-  const OperatorRates mid = e->rates(1);
+  const runtime::OperatorRates mid = e->rates(1);
   EXPECT_NEAR(mid.true_rate_per_instance, 200000.0, 8000.0);
   EXPECT_NEAR(mid.observed_rate_per_instance, 50000.0, 2000.0);
   EXPECT_LT(mid.observed_rate_per_instance, mid.true_rate_per_instance);
@@ -120,7 +120,7 @@ TEST(Engine, TrueRateMatchesCostModelWhenUncontended) {
 TEST(Engine, IdleOperatorReportsPotentialTrueRate) {
   auto e = make_engine_with(simple_chain(), {1, 1, 1}, 0.0);
   e->run_until(10.0);
-  const OperatorRates mid = e->rates(1);
+  const runtime::OperatorRates mid = e->rates(1);
   EXPECT_NEAR(mid.true_rate_per_instance, 200000.0, 1000.0);
   EXPECT_DOUBLE_EQ(mid.observed_rate_per_instance, 0.0);
 }
@@ -234,19 +234,20 @@ TEST(Engine, MemoryAccountsStateAndSlots) {
 TEST(Engine, MetricsWrittenAtInterval) {
   auto e = make_engine_with(simple_chain(), {1, 1, 1}, 10000.0);
   e->run_until(5.0);
-  const runtime::MetricId thr = e->metrics().find(metric_names::kThroughput);
+  const runtime::MetricId thr =
+      e->metrics().find(runtime::metric_names::kThroughput);
   ASSERT_TRUE(thr.valid());
   const auto [first, last] = e->metrics().range(thr, 0.0, 5.0);
   EXPECT_GE(last - first, 4u);
-  EXPECT_TRUE(e->metrics().has_series(metric_names::true_rate("mid")));
+  EXPECT_TRUE(e->metrics().has_series(runtime::metric_names::true_rate("mid")));
 }
 
 TEST(Engine, ExternalMetricsMirrored) {
-  MetricsDb external;
+  runtime::MetricStore external;
   auto e = make_engine_with(simple_chain(), {1, 1, 1}, 10000.0);
   e->set_external_metrics(&external);
   e->run_until(3.0);
-  EXPECT_TRUE(external.has_series(metric_names::kThroughput));
+  EXPECT_TRUE(external.has_series(runtime::metric_names::kThroughput));
 }
 
 TEST(Engine, StartTimeOffsetsClock) {

@@ -72,7 +72,7 @@ TEST(EngineAlloc, SnapshotCopiesTheReservoirOnlyWhenAskedForPercentiles) {
               percentiles);
 
     const std::size_t bytes_before = g_bytes.load();
-    const JobMetrics m = snapshot(*engine);
+    const runtime::JobMetrics m = snapshot(*engine);
     const std::size_t bytes = g_bytes.load() - bytes_before;
 
     EXPECT_EQ(m.latency_percentiles.has_value(), percentiles);

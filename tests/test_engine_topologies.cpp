@@ -47,9 +47,9 @@ TEST(EngineDiamond, FanOutDuplicatesStream) {
   e->run_until(30.0);
   e->reset_counters();
   e->run_until(90.0);
-  const OperatorRates left = e->rates(1);
-  const OperatorRates right = e->rates(2);
-  const OperatorRates join = e->rates(3);
+  const runtime::OperatorRates left = e->rates(1);
+  const runtime::OperatorRates right = e->rates(2);
+  const runtime::OperatorRates join = e->rates(3);
   // Both branches see the full stream.
   EXPECT_NEAR(left.total_input_rate, 20000.0, 600.0);
   EXPECT_NEAR(right.total_input_rate, 20000.0, 600.0);

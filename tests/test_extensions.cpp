@@ -11,9 +11,9 @@
 namespace autra {
 namespace {
 
-using core::Evaluator;
+using runtime::Evaluator;
 using sim::ConstantRate;
-using sim::JobMetrics;
+using runtime::JobMetrics;
 using sim::Parallelism;
 
 sim::Topology chain() {
@@ -36,7 +36,7 @@ JobMetrics metrics_with_queue(const Parallelism& p, double queue_mid,
   m.throughput = throughput;
   m.lag_growth_per_sec = lag_growth;
   for (int i = 0; i < 3; ++i) {
-    sim::OperatorRates r;
+    runtime::OperatorRates r;
     r.true_rate_per_instance = 600.0;
     r.observed_rate_per_instance = 400.0;
     r.total_input_rate = 1000.0;
@@ -94,13 +94,40 @@ TEST(Dhalion, EndToEndOnWordCountReachesInputRate) {
   spec.engine.measurement_noise = 0.0;
   sim::JobRunner runner(std::move(spec),
       {.warmup_sec = 60.0, .measure_sec = 60.0});
-  const Evaluator eval = core::make_runner_evaluator(runner);
+  const Evaluator eval = sim::make_runner_evaluator(runner);
   const baselines::DhalionPolicy policy(runner.spec().topology,
                                         {.max_parallelism = 60});
   const auto r = policy.run(eval, Parallelism(4, 1));
   EXPECT_TRUE(r.healthy);
   EXPECT_LE(r.iterations, 6);
   EXPECT_GE(r.final_metrics.throughput, 0.97 * 350000.0);
+}
+
+TEST(Dhalion, RunStepsThroughBottlenecksAndResolve) {
+  // The live resilience loop steps with bottlenecks()/resolve(); run() must
+  // take exactly the same step from every configuration it evaluates.
+  auto spec = autra::workloads::word_count(
+      std::make_shared<ConstantRate>(350000.0));
+  sim::JobRunner runner(std::move(spec),
+      {.warmup_sec = 60.0, .measure_sec = 60.0});
+  const Evaluator inner = sim::make_runner_evaluator(runner);
+  std::vector<Parallelism> configs;
+  std::vector<JobMetrics> seen;
+  const Evaluator recording = [&](const Parallelism& p) {
+    configs.push_back(p);
+    seen.push_back(inner(p));
+    return seen.back();
+  };
+  const baselines::DhalionPolicy policy(runner.spec().topology,
+                                        {.max_parallelism = 60});
+  static_cast<void>(policy.run(recording, Parallelism(4, 1)));
+  ASSERT_GE(configs.size(), 2u);
+  for (std::size_t i = 0; i + 1 < configs.size(); ++i) {
+    const JobMetrics& m = seen[i];
+    EXPECT_EQ(m.parallelism, configs[i]);  // what the live loop passes
+    EXPECT_EQ(policy.resolve(m, policy.bottlenecks(m), configs[i]),
+              configs[i + 1]);
+  }
 }
 
 TEST(Dhalion, HealthyJobUntouched) {
@@ -199,7 +226,7 @@ TEST(RateAware, AddSamplesSkipsEstimated) {
   std::vector<core::SamplePoint> samples(2);
   samples[0].config = {1, 2};
   samples[0].score = 0.5;
-  samples[0].metrics = sim::JobMetrics{};  // real
+  samples[0].metrics = runtime::JobMetrics{};  // real
   samples[1].config = {2, 2};
   samples[1].score = 0.6;  // estimated (no metrics)
   model.add_samples(1000.0, samples);
@@ -271,7 +298,7 @@ TEST(RateAware, EndToEndOnNexmarkQ5) {
 
   for (double rate : {15e3, 20e3, 25e3}) {
     sim::JobRunner runner = runner_at(rate);
-    const Evaluator eval = core::make_runner_evaluator(runner);
+    const Evaluator eval = sim::make_runner_evaluator(runner);
     const core::ThroughputOptimizer opt(
         runner.spec().topology,
         {.target_throughput = rate,
@@ -286,7 +313,7 @@ TEST(RateAware, EndToEndOnNexmarkQ5) {
   EXPECT_GT(model.num_samples(), 10u);
 
   sim::JobRunner runner = runner_at(30e3);
-  const Evaluator eval = core::make_runner_evaluator(runner);
+  const Evaluator eval = sim::make_runner_evaluator(runner);
   const core::ThroughputOptimizer opt(
       runner.spec().topology,
       {.target_throughput = 30e3,

@@ -8,6 +8,7 @@
 
 #include <memory>
 #include <stdexcept>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -398,6 +399,33 @@ TEST(FaultHost, RackCrashCostsOneRestartForTheGroup) {
   const runtime::JobMetrics after = faulted.window_metrics();
   EXPECT_GT(after.throughput, 0.9 * before);
   EXPECT_LT(after.kafka_lag, 0.25 * lag_peak);
+}
+
+TEST(FaultHost, SimultaneousMachineAndRackCrashesRestartTwice) {
+  // A machine crash is a rack crash of one machine: crashes detected at
+  // the same instant are separate incidents, one forced restart each, and
+  // the order they were registered in changes nothing.
+  fault::FaultSchedule machine_first;
+  machine_first.machine_down(2, 120.0, 120.0, 10.0)
+      .rack_down({0, 1}, 120.0, 120.0, 10.0);
+  fault::FaultSchedule rack_first;
+  rack_first.rack_down({0, 1}, 120.0, 120.0, 10.0)
+      .machine_down(2, 120.0, 120.0, 10.0);
+  std::vector<runtime::JobMetrics> windows;
+  for (const fault::FaultSchedule* sched : {&machine_first, &rack_first}) {
+    sim::ScalingSession session(chain_spec(50000.0), {2, 2, 2});
+    fault::FaultInjectingBackend faulted(session, *sched);
+    faulted.run_for(129.0);
+    EXPECT_EQ(session.failure_restarts(), 0);
+    faulted.reset_window();
+    faulted.run_for(300.0);
+    EXPECT_EQ(session.failure_restarts(), 2);
+    EXPECT_EQ(session.restarts(), 2);
+    windows.push_back(faulted.window_metrics());
+  }
+  EXPECT_EQ(windows[0].throughput, windows[1].throughput);
+  EXPECT_EQ(windows[0].kafka_lag, windows[1].kafka_lag);
+  EXPECT_EQ(windows[0].latency_ms, windows[1].latency_ms);
 }
 
 TEST(FaultHost, NetworkPartitionCutsCrossEdgesWithoutRestart) {

@@ -1,8 +1,6 @@
 // Tests for the JobRunner evaluation harness and the live ScalingSession.
 #include "streamsim/job_runner.hpp"
 
-#include "core/evaluator.hpp"
-
 #include "workloads/workloads.hpp"
 
 #include <gtest/gtest.h>
@@ -24,7 +22,7 @@ TEST(JobSpec, InitialRate) {
 }
 
 TEST(JobMetrics, TotalParallelism) {
-  JobMetrics m;
+  runtime::JobMetrics m;
   m.parallelism = {1, 4, 2};
   EXPECT_EQ(m.total_parallelism(), 7);
 }
@@ -43,7 +41,7 @@ TEST(JobRunner, MeasureReturnsConsistentSnapshot) {
   spec.engine.latency_percentiles = true;
   JobRunner runner(std::move(spec),
       {.warmup_sec = 20.0, .measure_sec = 30.0});
-  const JobMetrics m = runner.measure({1, 1, 1});
+  const runtime::JobMetrics m = runner.measure({1, 1, 1});
   EXPECT_EQ(m.parallelism, (Parallelism{1, 1, 1}));
   EXPECT_NEAR(m.throughput, 30000.0, 600.0);
   EXPECT_DOUBLE_EQ(m.input_rate, 30000.0);
@@ -60,9 +58,9 @@ TEST(JobRunner, LagGrowthDetectsUnderProvisioning) {
   // 10 us ops -> 100k/s capacity; feed 220k so one instance cannot keep up.
   JobRunner runner(small_job(220000.0),
       {.warmup_sec = 20.0, .measure_sec = 30.0});
-  const JobMetrics starved = runner.measure({1, 1, 1});
+  const runtime::JobMetrics starved = runner.measure({1, 1, 1});
   EXPECT_GT(starved.lag_growth_per_sec, 50000.0);
-  const JobMetrics ok = runner.measure({3, 3, 3});
+  const runtime::JobMetrics ok = runner.measure({3, 3, 3});
   EXPECT_LT(ok.lag_growth_per_sec, 10000.0);
 }
 
@@ -71,8 +69,8 @@ TEST(JobRunner, SeedSaltChangesNoiseOnly) {
   spec.engine.measurement_noise = 0.05;
   JobRunner runner(std::move(spec),
       {.warmup_sec = 10.0, .measure_sec = 20.0});
-  const JobMetrics a = runner.measure({1, 1, 1}, 1);
-  const JobMetrics b = runner.measure({1, 1, 1}, 2);
+  const runtime::JobMetrics a = runner.measure({1, 1, 1}, 1);
+  const runtime::JobMetrics b = runner.measure({1, 1, 1}, 2);
   // Same physics; throughput identical because it is not noise-derived in
   // the snapshot, but operator gauges in the metric DB would differ. Here
   // we only require both runs to be sane and equal in expectation.
@@ -88,15 +86,69 @@ TEST(JobRunner, EvaluatorSaltsDecorrelateMetricNoise) {
   spec.engine.latency_percentiles = true;
   JobRunner runner(std::move(spec),
       {.warmup_sec = 10.0, .measure_sec = 20.0});
-  const autra::core::Evaluator eval =
-      autra::core::make_runner_evaluator(runner);
-  const JobMetrics a = eval({1, 1, 1});
-  const JobMetrics b = eval({1, 1, 1});
+  const autra::runtime::Evaluator eval =
+      autra::sim::make_runner_evaluator(runner);
+  const runtime::JobMetrics a = eval({1, 1, 1});
+  const runtime::JobMetrics b = eval({1, 1, 1});
   EXPECT_EQ(runner.evaluations(), 2);
   // Latency carries per-cohort jitter resampled per run.
   ASSERT_TRUE(a.latency_percentiles.has_value());
   ASSERT_TRUE(b.latency_percentiles.has_value());
   EXPECT_NE(a.latency_percentiles->p99_ms, b.latency_percentiles->p99_ms);
+}
+
+void expect_same_metrics(const runtime::JobMetrics& a,
+                         const runtime::JobMetrics& b) {
+  EXPECT_EQ(a.parallelism, b.parallelism);
+  EXPECT_EQ(a.input_rate, b.input_rate);
+  EXPECT_EQ(a.throughput, b.throughput);
+  EXPECT_EQ(a.latency_ms, b.latency_ms);
+  ASSERT_EQ(a.latency_percentiles.has_value(),
+            b.latency_percentiles.has_value());
+  if (a.latency_percentiles) {
+    EXPECT_EQ(a.latency_percentiles->p50_ms, b.latency_percentiles->p50_ms);
+    EXPECT_EQ(a.latency_percentiles->p95_ms, b.latency_percentiles->p95_ms);
+    EXPECT_EQ(a.latency_percentiles->p99_ms, b.latency_percentiles->p99_ms);
+  }
+  EXPECT_EQ(a.event_latency_ms, b.event_latency_ms);
+  EXPECT_EQ(a.kafka_lag, b.kafka_lag);
+  EXPECT_EQ(a.lag_growth_per_sec, b.lag_growth_per_sec);
+  EXPECT_EQ(a.busy_cores, b.busy_cores);
+  EXPECT_EQ(a.memory_mb, b.memory_mb);
+  ASSERT_EQ(a.operators.size(), b.operators.size());
+  for (std::size_t i = 0; i < a.operators.size(); ++i) {
+    const runtime::OperatorRates& x = a.operators[i];
+    const runtime::OperatorRates& y = b.operators[i];
+    EXPECT_EQ(x.true_rate_per_instance, y.true_rate_per_instance);
+    EXPECT_EQ(x.observed_rate_per_instance, y.observed_rate_per_instance);
+    EXPECT_EQ(x.total_input_rate, y.total_input_rate);
+    EXPECT_EQ(x.total_output_rate, y.total_output_rate);
+    EXPECT_EQ(x.queue_length, y.queue_length);
+    EXPECT_EQ(x.parallelism, y.parallelism);
+  }
+}
+
+TEST(SimTrialService, EvaluatorIsTheRunnerEvaluator) {
+  // Plan-stage trials and the offline policies' evaluations share one
+  // rerun-counting evaluator: at the same constant rate, the same sequence
+  // of configurations (a repeat included) gives == metrics.
+  JobSpec spec = small_job(30000.0);
+  spec.engine.measurement_noise = 0.05;
+  spec.engine.latency_percentiles = true;
+  const JobRunner runner(spec, {.warmup_sec = 10.0, .measure_sec = 20.0});
+  const runtime::Evaluator offline = make_runner_evaluator(runner);
+  const SimTrialService trials(spec);
+  const runtime::Evaluator plan = trials.evaluator_at(30000.0, 10.0, 20.0);
+  std::vector<runtime::JobMetrics> seen;
+  for (const Parallelism& p :
+       {Parallelism{1, 1, 1}, Parallelism{2, 1, 1}, Parallelism{1, 1, 1}}) {
+    seen.push_back(offline(p));
+    expect_same_metrics(seen.back(), plan(p));
+  }
+  // The repeat is a rerun with fresh noise, not a replay of the first run.
+  ASSERT_TRUE(seen[0].latency_percentiles && seen[2].latency_percentiles);
+  EXPECT_NE(seen[0].latency_percentiles->p99_ms,
+            seen[2].latency_percentiles->p99_ms);
 }
 
 TEST(JobRunner, PercentilesOnlyOnRequest) {
@@ -108,8 +160,8 @@ TEST(JobRunner, PercentilesOnlyOnRequest) {
   JobRunner off(spec, {.warmup_sec = 10.0, .measure_sec = 20.0});
   spec.engine.latency_percentiles = true;
   JobRunner on(spec, {.warmup_sec = 10.0, .measure_sec = 20.0});
-  const JobMetrics a = off.measure({1, 2, 1}, 3);
-  const JobMetrics b = on.measure({1, 2, 1}, 3);
+  const runtime::JobMetrics a = off.measure({1, 2, 1}, 3);
+  const runtime::JobMetrics b = on.measure({1, 2, 1}, 3);
 
   EXPECT_FALSE(a.latency_percentiles.has_value());
   ASSERT_TRUE(b.latency_percentiles.has_value());
@@ -128,8 +180,8 @@ TEST(JobRunner, PercentilesOnlyOnRequest) {
   EXPECT_EQ(a.memory_mb, b.memory_mb);
   ASSERT_EQ(a.operators.size(), b.operators.size());
   for (std::size_t i = 0; i < a.operators.size(); ++i) {
-    const OperatorRates& x = a.operators[i];
-    const OperatorRates& y = b.operators[i];
+    const runtime::OperatorRates& x = a.operators[i];
+    const runtime::OperatorRates& y = b.operators[i];
     EXPECT_EQ(x.true_rate_per_instance, y.true_rate_per_instance) << i;
     EXPECT_EQ(x.observed_rate_per_instance, y.observed_rate_per_instance)
         << i;
@@ -186,17 +238,18 @@ TEST(ScalingSession, ReconfigurePreservesLagAndClock) {
 
 TEST(ScalingSession, HotScaleOutValidation) {
   ScalingSession session(small_job(1000.0), {2, 2, 2});
-  EXPECT_THROW(session.reconfigure({1, 2, 2}, RescaleMode::kHotScaleOut),
-               std::invalid_argument);
+  EXPECT_THROW(
+      session.reconfigure({1, 2, 2}, runtime::RescaleMode::kHotScaleOut),
+      std::invalid_argument);
   EXPECT_NO_THROW(
-      session.reconfigure({2, 3, 2}, RescaleMode::kHotScaleOut));
+      session.reconfigure({2, 3, 2}, runtime::RescaleMode::kHotScaleOut));
   EXPECT_EQ(session.parallelism(), (Parallelism{2, 3, 2}));
 }
 
 TEST(ScalingSession, HotScaleOutHasMuchLessDowntime) {
   // Under-provisioned at 150k (one 100k/s instance): compare the lag built
   // up during a cold restart vs a hot scale-out to the same target.
-  const auto lag_after = [&](RescaleMode mode) {
+  const auto lag_after = [&](runtime::RescaleMode mode) {
     ScalingSession session(small_job(150000.0), {1, 1, 1},
                            {.restart_downtime_sec = 20.0,
                             .hot_downtime_sec = 1.0});
@@ -205,8 +258,8 @@ TEST(ScalingSession, HotScaleOutHasMuchLessDowntime) {
     session.run_for(25.0);  // spans the cold downtime fully
     return session.engine().kafka().lag();
   };
-  const double cold = lag_after(RescaleMode::kColdRestart);
-  const double hot = lag_after(RescaleMode::kHotScaleOut);
+  const double cold = lag_after(runtime::RescaleMode::kColdRestart);
+  const double hot = lag_after(runtime::RescaleMode::kHotScaleOut);
   EXPECT_LT(hot, cold * 0.5);
 }
 
@@ -217,7 +270,7 @@ TEST(ScalingSession, HistorySpansRestarts) {
   session.reconfigure({2, 2, 2});
   session.run_for(5.0);
   const runtime::MetricId thr =
-      session.history().find(metric_names::kThroughput);
+      session.history().find(runtime::metric_names::kThroughput);
   ASSERT_TRUE(thr.valid());
   const auto [first, last] = session.history().range(thr, 0.0, 10.0);
   EXPECT_GE(last - first, 8u);  // Continuous series across the restart.
@@ -228,7 +281,7 @@ TEST(ScalingSession, WindowMetricsResettable) {
   session.run_for(10.0);
   session.reset_window();
   session.run_for(10.0);
-  const JobMetrics m = session.window_metrics();
+  const runtime::JobMetrics m = session.window_metrics();
   EXPECT_NEAR(m.throughput, 10000.0, 300.0);
 }
 

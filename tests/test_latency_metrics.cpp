@@ -1,12 +1,13 @@
 // Unit tests for the latency accumulator and the metric time-series store.
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <sstream>
 #include <vector>
 
+#include "runtime/metrics.hpp"
 #include "streamsim/latency.hpp"
-#include "streamsim/metrics.hpp"
 
 #include <gtest/gtest.h>
 
@@ -98,20 +99,20 @@ TEST(LatencyStats, QuantileValidation) {
 }
 
 TEST(MetricsDb, RecordAndQueryWindow) {
-  MetricsDb db;
+  runtime::MetricStore db;
   const runtime::MetricId x = db.resolve("x");
   db.record(x, 0.0, 1.0);
   db.record(x, 1.0, 2.0);
   db.record(x, 2.0, 3.0);
   const auto [first, last] = db.range(x, 0.5, 2.0);
   ASSERT_EQ(last - first, 2u);
-  const MetricsDb::SeriesView v = db.series(x);
+  const runtime::MetricStore::SeriesView v = db.series(x);
   EXPECT_DOUBLE_EQ(v.values[first], 2.0);
   EXPECT_DOUBLE_EQ(v.values[last - 1], 3.0);
 }
 
 TEST(MetricsDb, UnknownSeriesEmpty) {
-  const MetricsDb db;
+  const runtime::MetricStore db;
   const runtime::MetricId nope = db.find("nope");
   EXPECT_FALSE(nope.valid());
   EXPECT_TRUE(db.series(nope).times.empty());
@@ -121,7 +122,7 @@ TEST(MetricsDb, UnknownSeriesEmpty) {
 }
 
 TEST(MetricsDb, TimeMustNotGoBackwards) {
-  MetricsDb db;
+  runtime::MetricStore db;
   const runtime::MetricId x = db.resolve("x");
   const runtime::MetricId y = db.resolve("y");
   db.record(x, 5.0, 1.0);
@@ -130,8 +131,34 @@ TEST(MetricsDb, TimeMustNotGoBackwards) {
   EXPECT_NO_THROW(db.record(y, 0.0, 1.0));  // other series independent
 }
 
+TEST(MetricsDb, NonFinitePointsAreDroppedAndCounted) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  runtime::MetricStore db;
+  const runtime::MetricId x = db.resolve("x");
+  db.record(x, 0.0, 10.0);
+  for (const double bad : {nan, inf, -inf}) {
+    db.record(x, bad, 5.0);
+    db.record(x, 1.0, bad);
+  }
+  EXPECT_EQ(db.nonfinite_dropped(), 6u);
+  EXPECT_EQ(db.series(x).times.size(), 1u);
+  db.record(x, 2.0, 20.0);
+  EXPECT_EQ(db.series(x).values.size(), 2u);
+  EXPECT_DOUBLE_EQ(db.mean(x, 0.0, 2.0).value(), 15.0);
+  EXPECT_DOUBLE_EQ(db.mean(x, 1.0, 2.0).value(), 20.0);
+  const auto last = db.last(x);
+  ASSERT_TRUE(last);
+  EXPECT_DOUBLE_EQ(last->time, 2.0);
+  EXPECT_DOUBLE_EQ(last->value, 20.0);
+  EXPECT_THROW(db.record(x, 1.5, 1.0), std::invalid_argument);
+  EXPECT_EQ(db.nonfinite_dropped(), 6u);
+  db.clear();
+  EXPECT_EQ(db.nonfinite_dropped(), 0u);
+}
+
 TEST(MetricsDb, MeanOverWindow) {
-  MetricsDb db;
+  runtime::MetricStore db;
   const runtime::MetricId x = db.resolve("x");
   db.record(x, 0.0, 10.0);
   db.record(x, 1.0, 20.0);
@@ -141,7 +168,7 @@ TEST(MetricsDb, MeanOverWindow) {
 }
 
 TEST(MetricsDb, Last) {
-  MetricsDb db;
+  runtime::MetricStore db;
   const runtime::MetricId x = db.resolve("x");
   db.record(x, 0.0, 1.0);
   db.record(x, 9.0, 42.0);
@@ -152,7 +179,7 @@ TEST(MetricsDb, Last) {
 }
 
 TEST(MetricsDb, SeriesNamesAndClear) {
-  MetricsDb db;
+  runtime::MetricStore db;
   db.record(db.resolve("b"), 0.0, 1.0);
   db.record(db.resolve("a"), 0.0, 1.0);
   EXPECT_EQ(db.series_names(), (std::vector<std::string>{"a", "b"}));
@@ -161,7 +188,7 @@ TEST(MetricsDb, SeriesNamesAndClear) {
 }
 
 TEST(MetricsDb, CsvExportSelectedSeries) {
-  MetricsDb db;
+  runtime::MetricStore db;
   const runtime::MetricId a = db.resolve("a");
   db.record(a, 0.0, 1.0);
   db.record(a, 1.0, 2.0);
@@ -176,7 +203,7 @@ TEST(MetricsDb, CsvExportSelectedSeries) {
 }
 
 TEST(MetricsDb, CsvExportAllSeriesByDefault) {
-  MetricsDb db;
+  runtime::MetricStore db;
   db.record(db.resolve("x"), 0.0, 5.0);
   std::ostringstream out;
   db.write_csv(out);
@@ -184,7 +211,7 @@ TEST(MetricsDb, CsvExportAllSeriesByDefault) {
 }
 
 TEST(MetricsDb, CsvExportUnknownSeriesGivesEmptyColumn) {
-  MetricsDb db;
+  runtime::MetricStore db;
   db.record(db.resolve("x"), 0.0, 5.0);
   std::ostringstream out;
   const std::vector<std::string> cols{"x", "ghost"};
@@ -193,15 +220,15 @@ TEST(MetricsDb, CsvExportUnknownSeriesGivesEmptyColumn) {
 }
 
 TEST(MetricNames, FlinkStylePaths) {
-  EXPECT_EQ(metric_names::true_rate("count"),
+  EXPECT_EQ(runtime::metric_names::true_rate("count"),
             "taskmanager.job.task.trueProcessingRate.count");
-  EXPECT_EQ(metric_names::observed_rate("count"),
+  EXPECT_EQ(runtime::metric_names::observed_rate("count"),
             "taskmanager.job.task.observedProcessingRate.count");
-  EXPECT_EQ(metric_names::input_rate("x"),
+  EXPECT_EQ(runtime::metric_names::input_rate("x"),
             "taskmanager.job.task.numRecordsInPerSecond.x");
-  EXPECT_EQ(metric_names::output_rate("x"),
+  EXPECT_EQ(runtime::metric_names::output_rate("x"),
             "taskmanager.job.task.numRecordsOutPerSecond.x");
-  EXPECT_EQ(metric_names::queue_size("x"),
+  EXPECT_EQ(runtime::metric_names::queue_size("x"),
             "taskmanager.job.task.inputQueueLength.x");
 }
 

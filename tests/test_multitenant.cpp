@@ -218,8 +218,8 @@ void expect_solo_tenant_matches_standalone(const SoloRun& run) {
   EXPECT_EQ(ref_session.restarts(), mt_session.restarts());
   EXPECT_EQ(ref_session.parallelism(), mt_session.parallelism());
 
-  const sim::JobMetrics a = ref_session.window_metrics();
-  const sim::JobMetrics b = mt_session.window_metrics();
+  const runtime::JobMetrics a = ref_session.window_metrics();
+  const runtime::JobMetrics b = mt_session.window_metrics();
   EXPECT_EQ(a.throughput, b.throughput);
   EXPECT_EQ(a.kafka_lag, b.kafka_lag);
   EXPECT_EQ(a.latency_ms, b.latency_ms);

@@ -15,7 +15,7 @@ namespace autra {
 namespace {
 
 using sim::ConstantRate;
-using sim::JobMetrics;
+using runtime::JobMetrics;
 using sim::Parallelism;
 
 // ---------------------------------------------------------------------------
@@ -80,7 +80,7 @@ TEST_P(EngineInvariants, ConservationAndBounds) {
   // Latency percentiles are ordered and positive once traffic flowed.
   ASSERT_TRUE(m.latency_percentiles.has_value());
   if (m.throughput > 0.0) {
-    const sim::LatencyPercentiles& lat = *m.latency_percentiles;
+    const runtime::LatencyPercentiles& lat = *m.latency_percentiles;
     EXPECT_GT(m.latency_ms, 0.0);
     EXPECT_LE(lat.p50_ms, lat.p95_ms + 1e-9);
     EXPECT_LE(lat.p95_ms, lat.p99_ms + 1e-9);
@@ -88,7 +88,7 @@ TEST_P(EngineInvariants, ConservationAndBounds) {
   }
 
   // Rates are finite and non-negative; observed <= true per instance.
-  for (const sim::OperatorRates& r : m.operators) {
+  for (const runtime::OperatorRates& r : m.operators) {
     EXPECT_TRUE(std::isfinite(r.true_rate_per_instance));
     EXPECT_GE(r.true_rate_per_instance, 0.0);
     EXPECT_LE(r.observed_rate_per_instance,

@@ -9,7 +9,7 @@ namespace autra::core {
 namespace {
 
 using sim::ConstantRate;
-using sim::JobMetrics;
+using runtime::JobMetrics;
 using sim::Parallelism;
 
 SamplePoint real_sample(Parallelism config, double score, double latency_ms,
@@ -85,7 +85,7 @@ TEST(PickBestFallback, PrefersFeasibilityTiersThenScore) {
 }
 
 TEST(RunSteadyRate, Validation) {
-  const Evaluator never = [](const Parallelism&) -> JobMetrics {
+  const runtime::Evaluator never = [](const Parallelism&) -> JobMetrics {
     return {};
   };
   EXPECT_THROW((void)run_steady_rate(never, {}, base_params()),
@@ -109,7 +109,7 @@ TEST(RunSteadyRate, Validation) {
 TEST(RunSteadyRate, TerminatesOnBootstrapWhenBaseMeetsQos) {
   // Scripted: every config meets QoS; base scores 1.0 -> terminate with
   // zero BO iterations.
-  const Evaluator eval = [](const Parallelism& p) {
+  const runtime::Evaluator eval = [](const Parallelism& p) {
     JobMetrics m;
     m.parallelism = p;
     m.latency_ms = 20.0;
@@ -131,7 +131,7 @@ TEST(RunSteadyRate, FindsLatencyCompliantConfigAboveBase) {
   // score 0.875 < 0.9; need total >= 3 but score >= 0.9 requires staying
   // close to base: (1,2): score = 0.5 + 0.5*(1 + 0.5)/2 = 0.875. Hmm —
   // with threshold 0.85 the optimum (1,2) or (2,1) qualifies.
-  const Evaluator eval = [](const Parallelism& p) {
+  const runtime::Evaluator eval = [](const Parallelism& p) {
     JobMetrics m;
     m.parallelism = p;
     const int total = p[0] + p[1];
@@ -150,7 +150,7 @@ TEST(RunSteadyRate, FindsLatencyCompliantConfigAboveBase) {
 
 TEST(RunSteadyRate, SeedSamplesCountTowardModel) {
   int evals = 0;
-  const Evaluator eval = [&](const Parallelism& p) {
+  const runtime::Evaluator eval = [&](const Parallelism& p) {
     ++evals;
     JobMetrics m;
     m.parallelism = p;
@@ -171,7 +171,7 @@ TEST(RunSteadyRate, SeedSamplesCountTowardModel) {
 TEST(RunSteadyRate, BudgetExhaustionReturnsBestLatencyCompliant) {
   // Nothing ever reaches the score threshold; the best latency-compliant
   // sample must be returned.
-  const Evaluator eval = [](const Parallelism& p) {
+  const runtime::Evaluator eval = [](const Parallelism& p) {
     JobMetrics m;
     m.parallelism = p;
     m.latency_ms = p[0] >= 3 ? 50.0 : 500.0;  // compliant only when p0 >= 3
@@ -188,7 +188,7 @@ TEST(RunSteadyRate, BudgetExhaustionReturnsBestLatencyCompliant) {
 
 TEST(RunSteadyRate, HistoryRecordsEverySample) {
   int evals = 0;
-  const Evaluator eval = [&](const Parallelism& p) {
+  const runtime::Evaluator eval = [&](const Parallelism& p) {
     ++evals;
     JobMetrics m;
     m.parallelism = p;
@@ -223,7 +223,7 @@ TEST(RunSteadyRate, WordCountEndToEnd) {
   spec.engine.measurement_noise = 0.0;
   sim::JobRunner runner(std::move(spec),
       {.warmup_sec = 40.0, .measure_sec = 40.0});
-  const Evaluator eval = make_runner_evaluator(runner);
+  const runtime::Evaluator eval = make_runner_evaluator(runner);
   SteadyRateParams params;
   params.target_latency_ms = 180.0;
   params.target_throughput = 350000.0;

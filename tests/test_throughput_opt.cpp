@@ -11,8 +11,8 @@ namespace autra::core {
 namespace {
 
 using sim::ConstantRate;
-using sim::JobMetrics;
-using sim::OperatorRates;
+using runtime::JobMetrics;
+using runtime::OperatorRates;
 using sim::Parallelism;
 
 // Hand-crafted metrics for a 3-op chain with selectivity 2.0 at the middle
@@ -99,7 +99,7 @@ TEST(ThroughputOptimizer, Validation) {
                                        .max_parallelism = 4}),
                std::invalid_argument);
   const ThroughputOptimizer opt(t, {.max_parallelism = 4});
-  const Evaluator never = [](const Parallelism&) -> JobMetrics {
+  const runtime::Evaluator never = [](const Parallelism&) -> JobMetrics {
     ADD_FAILURE() << "should not evaluate";
     return {};
   };
@@ -112,7 +112,7 @@ TEST(ThroughputOptimizer, WordCountReachesTargetInFewIterations) {
   spec.engine.measurement_noise = 0.0;
   sim::JobRunner runner(std::move(spec),
       {.warmup_sec = 40.0, .measure_sec = 40.0});
-  const Evaluator eval = make_runner_evaluator(runner);
+  const runtime::Evaluator eval = make_runner_evaluator(runner);
   const ThroughputOptimizer opt(
       runner.spec().topology, {.max_parallelism = runner.max_parallelism()});
   const ThroughputOptResult r = opt.optimize(eval, Parallelism(4, 1));
@@ -132,7 +132,7 @@ TEST(ThroughputOptimizer, YahooTerminatesViaRepeatedConfig) {
   spec.engine.measurement_noise = 0.0;
   sim::JobRunner runner(std::move(spec),
       {.warmup_sec = 40.0, .measure_sec = 40.0});
-  const Evaluator eval = make_runner_evaluator(runner);
+  const runtime::Evaluator eval = make_runner_evaluator(runner);
   const ThroughputOptimizer opt(
       runner.spec().topology, {.max_parallelism = runner.max_parallelism()});
   const ThroughputOptResult r = opt.optimize(eval, Parallelism(5, 1));
@@ -147,7 +147,7 @@ TEST(ThroughputOptimizer, ReviewPicksLeastResourcesInBand) {
   // on, but recommendations keep growing until they repeat.
   const sim::Topology t = chain_topology();
   int call = 0;
-  const Evaluator scripted = [&](const Parallelism& p) {
+  const runtime::Evaluator scripted = [&](const Parallelism& p) {
     JobMetrics m = crafted_metrics(500.0, 500.0, 500.0);
     m.parallelism = p;
     m.input_rate = 1000.0;
@@ -185,7 +185,7 @@ TEST(ThroughputOptimizer, BaseConfigMinimisesEventTimeLatency) {
   spec.engine.measurement_noise = 0.0;
   sim::JobRunner runner(std::move(spec),
       {.warmup_sec = 40.0, .measure_sec = 40.0});
-  const Evaluator eval = make_runner_evaluator(runner);
+  const runtime::Evaluator eval = make_runner_evaluator(runner);
   const ThroughputOptimizer opt(
       runner.spec().topology, {.max_parallelism = runner.max_parallelism()});
   const ThroughputOptResult r = opt.optimize(eval, Parallelism(4, 1));
@@ -205,7 +205,7 @@ TEST(ThroughputOptimizer, OverProvisionedStartScalesDownToMinimal) {
   spec.engine.measurement_noise = 0.0;
   sim::JobRunner runner(std::move(spec),
       {.warmup_sec = 30.0, .measure_sec = 30.0});
-  const Evaluator eval = make_runner_evaluator(runner);
+  const runtime::Evaluator eval = make_runner_evaluator(runner);
   const ThroughputOptimizer opt(
       runner.spec().topology, {.max_parallelism = runner.max_parallelism()});
   const ThroughputOptResult r = opt.optimize(eval, Parallelism(4, 8));

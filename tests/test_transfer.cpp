@@ -11,7 +11,7 @@ namespace autra::core {
 namespace {
 
 using sim::ConstantRate;
-using sim::JobMetrics;
+using runtime::JobMetrics;
 using sim::Parallelism;
 
 SamplePoint real_sample(Parallelism config, double score,
@@ -97,7 +97,9 @@ TEST(ModelLibrary, AddFitsUnfittedModels) {
 }
 
 TEST(RunTransfer, Validation) {
-  const Evaluator never = [](const Parallelism&) -> JobMetrics { return {}; };
+  const runtime::Evaluator never = [](const Parallelism&) -> JobMetrics {
+    return {};
+  };
   BenefitModel unfitted;
   TransferParams params;
   params.steady.target_latency_ms = 100.0;
@@ -113,7 +115,7 @@ TEST(RunTransfer, Validation) {
 
 TEST(RunTransfer, ConvergesImmediatelyWhenBaseMeets) {
   int evals = 0;
-  const Evaluator eval = [&](const Parallelism& p) {
+  const runtime::Evaluator eval = [&](const Parallelism& p) {
     ++evals;
     JobMetrics m;
     m.parallelism = p;
@@ -165,7 +167,7 @@ TEST(RunTransfer, UsesFewerRealRunsThanBootstrapWouldNeed) {
   prior.fit();
 
   int evals = 0;
-  const Evaluator eval = [&](const Parallelism& p) {
+  const runtime::Evaluator eval = [&](const Parallelism& p) {
     ++evals;
     return physics(p);
   };
@@ -188,7 +190,7 @@ TEST(RunTransfer, UsesFewerRealRunsThanBootstrapWouldNeed) {
 TEST(RunTransfer, SwitchesToAlgorithm1AfterNnum) {
   // Physics where nothing satisfies the score threshold, so the loop keeps
   // going and must hand over to Algorithm 1 once n_num real samples exist.
-  const Evaluator eval = [](const Parallelism& p) {
+  const runtime::Evaluator eval = [](const Parallelism& p) {
     JobMetrics m;
     m.parallelism = p;
     m.latency_ms = 500.0;  // never compliant
@@ -212,7 +214,7 @@ TEST(RunTransfer, SwitchesToAlgorithm1AfterNnum) {
 
 TEST(RunTransfer, InitialRealSamplesSkipBaseMeasurement) {
   int evals = 0;
-  const Evaluator eval = [&](const Parallelism& p) {
+  const runtime::Evaluator eval = [&](const Parallelism& p) {
     ++evals;
     JobMetrics m;
     m.parallelism = p;
@@ -248,7 +250,7 @@ TEST(RunTransfer, NexmarkQ11EndToEnd) {
       {.warmup_sec = 40.0, .measure_sec = 40.0});
   };
   auto base_for = [](sim::JobRunner& runner) {
-    const Evaluator eval = make_runner_evaluator(runner);
+    const runtime::Evaluator eval = make_runner_evaluator(runner);
     const ThroughputOptimizer opt(
         runner.spec().topology,
         {.max_parallelism = runner.max_parallelism()});
@@ -257,7 +259,7 @@ TEST(RunTransfer, NexmarkQ11EndToEnd) {
 
   // Prior at 80k via Algorithm 1.
   sim::JobRunner r80 = make_runner(80000.0);
-  const Evaluator e80 = make_runner_evaluator(r80);
+  const runtime::Evaluator e80 = make_runner_evaluator(r80);
   const Parallelism base80 = base_for(r80);
   SteadyRateParams sp;
   sp.target_latency_ms = 150.0;
@@ -269,7 +271,7 @@ TEST(RunTransfer, NexmarkQ11EndToEnd) {
 
   // Transfer to 100k.
   sim::JobRunner r100 = make_runner(100000.0);
-  const Evaluator e100 = make_runner_evaluator(r100);
+  const runtime::Evaluator e100 = make_runner_evaluator(r100);
   const Parallelism base100 = base_for(r100);
   TransferParams tp;
   tp.steady = sp;

@@ -113,7 +113,7 @@ TEST(NexmarkQ8, JoinReceivesBothStreams) {
   spec.engine.measurement_noise = 0.0;
   sim::JobRunner runner(std::move(spec),
       {.warmup_sec = 30.0, .measure_sec = 30.0});
-  const sim::JobMetrics m = runner.measure({1, 1, 1, 3});
+  const runtime::JobMetrics m = runner.measure({1, 1, 1, 3});
   // The filters pass 0.2x and 0.8x of the stream; the join sees their sum.
   EXPECT_NEAR(m.operators[3].total_input_rate, 20000.0, 1000.0);
   EXPECT_NEAR(m.throughput, 20000.0, 1000.0);
@@ -158,7 +158,7 @@ TEST(Yahoo, RedisCapsThroughput) {
   spec.engine.measurement_noise = 0.0;
   sim::JobRunner runner(std::move(spec),
       {.warmup_sec = 40.0, .measure_sec = 40.0});
-  const sim::JobMetrics m = runner.measure(sim::Parallelism(5, 40));
+  const runtime::JobMetrics m = runner.measure(sim::Parallelism(5, 40));
   EXPECT_LT(m.throughput, 45000.0);
   EXPECT_NEAR(m.throughput, kYahooRedisCallsPerSec, 4000.0);
 }
