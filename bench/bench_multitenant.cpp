@@ -164,8 +164,9 @@ int main(int argc, char** argv) {
       json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--arrival") == 0 && i + 1 < argc) {
       arrival = argv[++i];
-    } else if (std::strcmp(argv[i], "--arrival-seed") == 0 && i + 1 < argc) {
-      arrival_seed = std::strtoull(argv[++i], nullptr, 10);
+    } else if (std::strcmp(argv[i], "--arrival-seed") == 0 && i + 1 < argc &&
+               bench::parse_number(argv[i + 1], arrival_seed)) {
+      ++i;
     } else {
       std::fprintf(stderr,
                    "usage: %s [--smoke] [--json PATH]\n"

@@ -26,7 +26,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -62,7 +61,10 @@ void report_row(bench::JsonReport& report, const char* schedule,
       .num("restarts", r.restarts)
       .num("failure_restarts", r.failure_restarts)
       .num("failed_rescales", r.failed_rescales)
-      .num("decisions", r.decisions);
+      .num("decisions", r.decisions)
+      .num("trials", r.trials)
+      .num("trial_runs_simulated",
+           static_cast<double>(r.trial_runs_simulated));
 }
 
 void run_schedule(const char* name, double horizon, const sim::JobSpec& spec,
@@ -176,8 +178,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
     } else if (std::strcmp(argv[i], "--chaos") == 0 && i + 1 < argc) {
-      chaos = std::atoi(argv[++i]);
-      if (chaos <= 0) {
+      if (!bench::parse_number(argv[++i], chaos) || chaos <= 0) {
         std::fprintf(stderr, "--chaos needs a positive schedule count\n");
         return 2;
       }
@@ -185,8 +186,9 @@ int main(int argc, char** argv) {
       json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--arrival") == 0 && i + 1 < argc) {
       arrival = argv[++i];
-    } else if (std::strcmp(argv[i], "--arrival-seed") == 0 && i + 1 < argc) {
-      arrival_seed = std::strtoull(argv[++i], nullptr, 10);
+    } else if (std::strcmp(argv[i], "--arrival-seed") == 0 && i + 1 < argc &&
+               bench::parse_number(argv[i + 1], arrival_seed)) {
+      ++i;
     } else {
       std::fprintf(stderr,
                    "usage: %s [--smoke] [--chaos N] [--json PATH]\n"

@@ -1,9 +1,12 @@
 // Shared helpers for the experiment-reproduction benches.
 #pragma once
 
+#include <charconv>
 #include <cstdio>
+#include <cstring>
 #include <numeric>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -22,6 +25,18 @@ inline std::string cfg(const sim::Parallelism& p) {
 
 inline int total(const sim::Parallelism& p) {
   return std::accumulate(p.begin(), p.end(), 0);
+}
+
+/// Parses a numeric flag value whole into `out`: "3x", "abc" and "" are
+/// rejected (false, `out` untouched), never read as a truncated number.
+template <class T>
+[[nodiscard]] bool parse_number(const char* s, T& out) {
+  T v{};
+  const char* end = s + std::strlen(s);
+  const auto [ptr, ec] = std::from_chars(s, end, v);
+  if (ec != std::errc() || ptr != end) return false;
+  out = v;
+  return true;
 }
 
 inline void header(const char* title) {

@@ -1,6 +1,7 @@
 #include "fault/resilience.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
 
 #include "baselines/dhalion.hpp"
@@ -106,14 +107,16 @@ ResilienceReport run_resilience(const std::string& policy,
     params.policy_running_time_sec = 2.0 * interval;
     params.resilience.metric_interval_sec = job.engine.metric_interval_sec;
     params.resilience.failure_cooldown_sec = interval;
-    core::AuTraScaleController controller(
-        job.topology, sim::make_trial_service(job), params);
+    const auto trials = std::make_shared<sim::SimTrialService>(job);
+    core::AuTraScaleController controller(job.topology, trials, params);
     for (const core::ControlDecision& d :
          controller.run(faulted, options.horizon_sec)) {
       if (!d.execute_failed) ++report.decisions;
+      report.trials += d.evaluations;
     }
     report.unhealthy_windows = controller.stats().unhealthy_windows;
     report.rescale_retries = controller.stats().rescale_retries;
+    report.trial_runs_simulated = trials->runs_simulated();
   } else {
     // Reactive baselines: the published step rule fires every interval
     // against the engine's own window counters, with no Execute retry — a

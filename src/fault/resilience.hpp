@@ -59,6 +59,11 @@ struct ResilienceReport {
   int decisions = 0;         ///< Configuration changes applied.
   int unhealthy_windows = 0; ///< AuTraScale only: windows skipped.
   int rescale_retries = 0;   ///< AuTraScale only: RescaleFailed retried.
+  /// AuTraScale only: Plan-stage trials (sum of ControlDecision::evaluations,
+  /// the paper's restart count) and the runs among them its
+  /// sim::SimTrialService simulated rather than replayed.
+  int trials = 0;
+  std::uint64_t trial_runs_simulated = 0;
 };
 
 /// The policy names run_resilience() accepts.

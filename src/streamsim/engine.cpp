@@ -759,12 +759,14 @@ double Engine::noisy(double value) {
 void Engine::write_metrics() {
   const double t = now_;
   // All ids were resolved at construction/attach time: each write below is
-  // an id-indexed append — no string construction, no map lookup.
+  // an id-indexed append — no string construction, no map lookup. An
+  // attached sink is written instead of the engine's own store.
+  runtime::MetricSink& sink =
+      external_metrics_ != nullptr ? *external_metrics_ : metrics_;
+  const MetricIdSet& ids =
+      external_metrics_ != nullptr ? external_ids_ : metric_ids_;
   const auto put = [&](auto select, double value) {
-    metrics_.record(select(metric_ids_), t, value);
-    if (external_metrics_ != nullptr) {
-      external_metrics_->record(select(external_ids_), t, value);
-    }
+    sink.record(select(ids), t, value);
   };
   for (std::size_t i = 0; i < topo_.num_operators(); ++i) {
     const runtime::OperatorRates r = rates_from(i, state_[i].interval);

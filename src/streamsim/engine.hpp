@@ -230,10 +230,12 @@ class Engine {
     return metrics_;
   }
 
-  /// Additional metric sink written alongside the internal one; used by
-  /// ScalingSession to keep one continuous time series across restarts.
-  /// The sink must outlive the engine; pass nullptr to detach. Series ids
-  /// are resolved once here, so the per-tick write path stays string-free.
+  /// Metric sink written instead of the internal store, which receives
+  /// no gauges while a sink is attached; used by ScalingSession to keep one
+  /// continuous time series across restarts. The sink must outlive the
+  /// engine; pass nullptr to detach and write the internal store again.
+  /// Series ids are resolved once here, so the per-tick write path stays
+  /// string-free.
   void set_external_metrics(runtime::MetricSink* sink);
 
   /// Busy-core equivalents co-tenant jobs place on each machine

@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <map>
-#include <mutex>
+#include <cstring>
 #include <stdexcept>
 
 namespace autra::sim {
@@ -33,27 +32,12 @@ std::unique_ptr<Engine> build_engine(const JobSpec& spec, const Parallelism& p,
   return engine;
 }
 
-/// The trial evaluator behind make_runner_evaluator() and
-/// SimTrialService::evaluator_at(): `runner` is a pointer the caller keeps
-/// alive or a shared_ptr the evaluator owns. Noise seeds derive from the
-/// configuration itself (plus a mutex-guarded rerun counter), never from a
-/// shared call counter: concurrent or reordered evaluations see the same
-/// noise a serial run would, which the TrialService contract requires for
-/// thread-count-independent decisions.
-template <class RunnerPtr>
-runtime::Evaluator rerun_evaluator(RunnerPtr runner) {
-  struct Reruns {
-    std::mutex mu;
-    std::map<Parallelism, std::uint64_t> counts;
-  };
-  auto reruns = std::make_shared<Reruns>();
-  return [runner = std::move(runner), reruns](const Parallelism& p) {
-    std::uint64_t rerun = 0;
-    {
-      const std::lock_guard<std::mutex> lock(reruns->mu);
-      rerun = reruns->counts[p]++;
-    }
-    return runner->measure(p, runtime::trial_seed_salt(p) + rerun);
+/// The evaluator behind make_runner_evaluator() and
+/// SimTrialService::evaluator_at(): one TrialLedger, shared by the copies
+/// of the std::function.
+runtime::Evaluator ledger_evaluator(std::shared_ptr<TrialLedger> ledger) {
+  return [ledger = std::move(ledger)](const Parallelism& p) {
+    return ledger->run(p);
   };
 }
 
@@ -119,8 +103,43 @@ runtime::JobMetrics JobRunner::measure(const Parallelism& p,
   return m;
 }
 
+TrialLedger::TrialLedger(std::shared_ptr<const JobRunner> runner,
+                         std::shared_ptr<Table> table,
+                         std::shared_ptr<Counts> counts)
+    : runner_(std::move(runner)),
+      table_(std::move(table)),
+      counts_(std::move(counts)) {}
+
+runtime::JobMetrics TrialLedger::run(const Parallelism& p) {
+  std::uint64_t rerun = 0;
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    rerun = reruns_[p]++;
+  }
+  std::pair<Parallelism, std::uint64_t> key(p, rerun);
+  if (table_ != nullptr) {
+    const std::lock_guard<std::mutex> lock(table_->mu);
+    const auto it = table_->runs.find(key);
+    if (it != table_->runs.end()) {
+      if (counts_ != nullptr) ++counts_->replayed;
+      return it->second;
+    }
+  }
+  runtime::JobMetrics m =
+      runner_->measure(p, runtime::trial_seed_salt(p) + rerun);
+  if (table_ != nullptr) {
+    const std::lock_guard<std::mutex> lock(table_->mu);
+    table_->runs.try_emplace(std::move(key), m);
+  }
+  if (counts_ != nullptr) ++counts_->simulated;
+  return m;
+}
+
 runtime::Evaluator make_runner_evaluator(const JobRunner& runner) {
-  return rerun_evaluator(&runner);
+  // A non-owning handle: the caller keeps `runner` alive.
+  return ledger_evaluator(std::make_shared<TrialLedger>(
+      std::shared_ptr<const JobRunner>(std::shared_ptr<const JobRunner>(),
+                                       &runner)));
 }
 
 ScalingSession::ScalingSession(JobSpec spec, Parallelism initial,
@@ -322,11 +341,33 @@ SimTrialService::SimTrialService(JobSpec spec) : spec_(std::move(spec)) {
 runtime::Evaluator SimTrialService::evaluator_at(double rate,
                                                  double warmup_sec,
                                                  double measure_sec) const {
-  JobSpec trial_spec = spec_;
-  trial_spec.schedule = std::make_shared<ConstantRate>(rate);
-  return rerun_evaluator(std::make_shared<JobRunner>(
-      std::move(trial_spec),
-      RunnerParams{.warmup_sec = warmup_sec, .measure_sec = measure_sec}));
+  const std::array<double, 3> setting{rate, warmup_sec, measure_sec};
+  const std::lock_guard<std::mutex> lock(mu_);
+  // Bitwise, so a replay is only ever of the run the simulation would
+  // compute again (-0.0 and 0.0 start separate tables, and that is safe).
+  if (table_ == nullptr ||
+      std::memcmp(setting.data(), setting_.data(), sizeof(setting)) != 0) {
+    JobSpec trial_spec = spec_;
+    trial_spec.schedule = std::make_shared<ConstantRate>(rate);
+    auto runner = std::make_shared<const JobRunner>(
+        std::move(trial_spec),
+        RunnerParams{.warmup_sec = warmup_sec, .measure_sec = measure_sec});
+    auto table = std::make_shared<TrialLedger::Table>();
+    // Nothing below throws, so the runner, the table and the setting they
+    // belong to are replaced together or not at all.
+    runner_ = std::move(runner);
+    table_ = std::move(table);
+    setting_ = setting;
+  }
+  return ledger_evaluator(
+      std::make_shared<TrialLedger>(runner_, table_, counts_));
+}
+
+std::size_t SimTrialService::runs_held() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  if (table_ == nullptr) return 0;
+  const std::lock_guard<std::mutex> table_lock(table_->mu);
+  return table_->runs.size();
 }
 
 int SimTrialService::max_parallelism() const {

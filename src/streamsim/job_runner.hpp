@@ -12,8 +12,13 @@
 // Flink's savepoint-stop-restart cycle in the paper's Execute stage.
 #pragma once
 
+#include <array>
 #include <atomic>
+#include <cstdint>
+#include <map>
 #include <memory>
+#include <mutex>
+#include <utility>
 #include <vector>
 
 #include "fault/fault_host.hpp"
@@ -105,12 +110,47 @@ class JobRunner {
   mutable std::atomic<int> evaluations_{0};
 };
 
-/// Evaluator backed by fresh-start measure() calls on `runner`, which must
-/// outlive it. Each call's noise salt derives from the configuration
-/// measured plus a per-config rerun counter (runtime::trial_seed_salt), so
-/// repeated evaluations differ like real reruns while staying independent
-/// of the order calls are issued in — safe for concurrent use from the
-/// Plan stage.
+/// One Plan stage's fresh-start trials: a per-configuration rerun counter
+/// over a table of finished runs keyed by (configuration, rerun index).
+/// Rerun k of configuration p is runner.measure(p, trial_seed_salt(p) + k),
+/// a pure function of the runner's setting and that key, so a key found in
+/// the table is replayed (the recorded JobMetrics, bit for bit) instead of
+/// simulated again. Every call still counts as one trial. The noise a
+/// configuration sees depends only on how often this ledger has measured
+/// it before, never on the order calls are issued in, and run() is safe to
+/// call concurrently, as the Plan stage's trial fan-out does.
+class TrialLedger {
+ public:
+  /// Finished runs of one trial setting, shared by the ledgers of every
+  /// Plan stage at that setting.
+  struct Table {
+    std::mutex mu;
+    std::map<std::pair<Parallelism, std::uint64_t>, runtime::JobMetrics> runs;
+  };
+  /// Runs simulated and replayed, over every ledger that shares them.
+  struct Counts {
+    std::atomic<std::uint64_t> simulated{0};
+    std::atomic<std::uint64_t> replayed{0};
+  };
+
+  /// A null `table` keeps no results; a null `counts` counts nothing.
+  explicit TrialLedger(std::shared_ptr<const JobRunner> runner,
+                       std::shared_ptr<Table> table = nullptr,
+                       std::shared_ptr<Counts> counts = nullptr);
+
+  /// The next rerun of `p` on this ledger, replayed when the table holds it.
+  [[nodiscard]] runtime::JobMetrics run(const Parallelism& p);
+
+ private:
+  std::shared_ptr<const JobRunner> runner_;
+  std::shared_ptr<Table> table_;
+  std::shared_ptr<Counts> counts_;
+  std::mutex mu_;
+  std::map<Parallelism, std::uint64_t> reruns_;
+};
+
+/// Evaluator over a TrialLedger of its own on `runner`, which must outlive
+/// it; it keeps no results, because no other evaluator could replay them.
 [[nodiscard]] runtime::Evaluator make_runner_evaluator(const JobRunner& runner);
 
 /// Restart-cost knobs of a long-running ScalingSession (aggregate with
@@ -268,9 +308,14 @@ class ScalingSession final : public runtime::StreamingBackend,
 };
 
 /// The simulator's Plan-stage trial provider: every evaluator_at() call
-/// returns the make_runner_evaluator() evaluator over a fresh-start
-/// JobRunner it owns, pinned at a constant rate, so it satisfies the
-/// const-thread-safety contract of runtime::TrialService.
+/// returns an evaluator over a fresh TrialLedger on a fresh-start JobRunner
+/// pinned at a constant rate, so it satisfies the const-thread-safety
+/// contract of runtime::TrialService and draws the noise
+/// make_runner_evaluator() draws for the same configurations. The service
+/// keeps the ledger table of its latest (rate, warm-up, measure) setting,
+/// compared bitwise: a call with the same setting shares it, so a re-plan
+/// at an unchanged rate replays its runs instead of simulating them again;
+/// any other setting starts a new table and drops the old one.
 class SimTrialService final : public runtime::TrialService {
  public:
   explicit SimTrialService(JobSpec spec);
@@ -282,8 +327,27 @@ class SimTrialService final : public runtime::TrialService {
 
   [[nodiscard]] const JobSpec& spec() const noexcept { return spec_; }
 
+  /// Trial runs simulated and replayed by every evaluator this service
+  /// returned. Their sum is the number of trials; both are exact and do
+  /// not depend on the thread count while Plan stages run one at a time.
+  [[nodiscard]] std::uint64_t runs_simulated() const noexcept {
+    return counts_->simulated.load();
+  }
+  [[nodiscard]] std::uint64_t runs_replayed() const noexcept {
+    return counts_->replayed.load();
+  }
+  /// Finished runs held for the latest setting (the service's memory).
+  [[nodiscard]] std::size_t runs_held() const;
+
  private:
   JobSpec spec_;
+  std::shared_ptr<TrialLedger::Counts> counts_ =
+      std::make_shared<TrialLedger::Counts>();
+  mutable std::mutex mu_;
+  /// The latest setting, its runner and its table (guarded by mu_).
+  mutable std::array<double, 3> setting_{};
+  mutable std::shared_ptr<const JobRunner> runner_;
+  mutable std::shared_ptr<TrialLedger::Table> table_;
 };
 
 /// Convenience: the trial service for `spec`, as the policy layer takes it.

@@ -5,6 +5,7 @@
 // These tests compare against the 1-thread run with exact equality, not
 // tolerances.
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <random>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "core/controller.hpp"
 #include "core/steady_rate.hpp"
 #include "gp/gp_regressor.hpp"
+#include "streamsim/job_runner.hpp"
 #include "workloads/workloads.hpp"
 
 #include <gtest/gtest.h>
@@ -186,6 +188,55 @@ TEST(Determinism, ControllerDecisionsIdenticalAcrossThreadCounts) {
       EXPECT_EQ(serial[i].evaluations, parallel[i].evaluations)
           << "threads=" << threads << " i=" << i;
     }
+  }
+}
+
+struct ReplanRun {
+  std::vector<core::ControlDecision> decisions;
+  std::uint64_t simulated = 0;
+  std::uint64_t replayed = 0;
+};
+
+ReplanRun replan_run(int threads) {
+  // A steady rate and a latency target no configuration meets: every
+  // window after the running time re-plans at a bitwise-unchanged rate,
+  // so the trial ledger replays what the earlier Plan stages simulated.
+  auto spec = workloads::synthetic_chain(
+      3, std::make_shared<sim::ConstantRate>(220000.0), 10.0);
+  sim::ScalingSession session(spec, {1, 1, 1},
+      {.restart_downtime_sec = 10.0});
+  core::ControllerParams p;
+  p.steady.target_latency_ms = 1.0;
+  p.steady.target_throughput = 220000.0;
+  p.steady.bootstrap_m = 4;
+  p.steady.max_evaluations = 12;
+  p.steady.threads = threads;
+  p.policy_interval_sec = 30.0;
+  p.policy_running_time_sec = 60.0;
+  const auto trials = std::make_shared<sim::SimTrialService>(spec);
+  core::AuTraScaleController controller(spec.topology, trials, p);
+  ReplanRun run;
+  run.decisions = controller.run(session, 300.0);
+  run.simulated = trials->runs_simulated();
+  run.replayed = trials->runs_replayed();
+  return run;
+}
+
+TEST(Determinism, SameRateReplansReplayIdenticallyAcrossThreadCounts) {
+  const ReplanRun serial = replan_run(1);
+  ASSERT_GE(serial.decisions.size(), 2u);
+  int trials = 0;
+  for (const core::ControlDecision& d : serial.decisions) {
+    trials += d.evaluations;
+  }
+  EXPECT_EQ(serial.simulated + serial.replayed,
+            static_cast<std::uint64_t>(trials));
+  EXPECT_GT(serial.replayed, 0u);
+  for (const int threads : kThreadCounts) {
+    const ReplanRun parallel = replan_run(threads);
+    EXPECT_EQ(serial.decisions, parallel.decisions) << "threads=" << threads;
+    EXPECT_EQ(serial.simulated, parallel.simulated) << "threads=" << threads;
+    EXPECT_EQ(serial.replayed, parallel.replayed) << "threads=" << threads;
   }
 }
 

@@ -2,8 +2,10 @@
 // true-vs-observed rates, suspension, and the latency model.
 #include "streamsim/engine.hpp"
 
+#include <algorithm>
 #include <random>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -243,11 +245,27 @@ TEST(Engine, MetricsWrittenAtInterval) {
 }
 
 TEST(Engine, ExternalMetricsMirrored) {
+  // An attached sink gets every gauge the engine's own store would have
+  // got, bit for bit and with the same noise draws; the store gets none.
+  EngineParams params = quiet_params();
+  params.measurement_noise = 0.05;
   runtime::MetricStore external;
-  auto e = make_engine_with(simple_chain(), {1, 1, 1}, 10000.0);
+  auto e = make_engine_with(simple_chain(), {1, 1, 1}, 10000.0, params);
   e->set_external_metrics(&external);
   e->run_until(3.0);
   EXPECT_TRUE(external.has_series(runtime::metric_names::kThroughput));
+  EXPECT_TRUE(e->metrics().series_names().empty());
+
+  auto own = make_engine_with(simple_chain(), {1, 1, 1}, 10000.0, params);
+  own->run_until(3.0);
+  const std::vector<std::string> names = own->metrics().series_names();
+  EXPECT_EQ(names, external.series_names());
+  for (const std::string& name : names) {
+    const auto a = own->metrics().series(own->metrics().find(name));
+    const auto b = external.series(external.find(name));
+    EXPECT_TRUE(std::ranges::equal(a.times, b.times)) << name;
+    EXPECT_TRUE(std::ranges::equal(a.values, b.values)) << name;
+  }
 }
 
 TEST(Engine, StartTimeOffsetsClock) {

@@ -1,6 +1,9 @@
 // Tests for the JobRunner evaluation harness and the live ScalingSession.
 #include "streamsim/job_runner.hpp"
 
+#include <vector>
+
+#include "exec/exec.hpp"
 #include "workloads/workloads.hpp"
 
 #include <gtest/gtest.h>
@@ -149,6 +152,101 @@ TEST(SimTrialService, EvaluatorIsTheRunnerEvaluator) {
   ASSERT_TRUE(seen[0].latency_percentiles && seen[2].latency_percentiles);
   EXPECT_NE(seen[0].latency_percentiles->p99_ms,
             seen[2].latency_percentiles->p99_ms);
+}
+
+TEST(TrialLedger, SameSettingReplaysTheRunnerEvaluatorsRuns) {
+  // Two Plan stages at one constant rate ask for the same (configuration,
+  // rerun) keys, here in another order: the second replays all of them,
+  // and both return what make_runner_evaluator simulates.
+  JobSpec spec = small_job(30000.0);
+  spec.engine.measurement_noise = 0.05;
+  spec.engine.latency_percentiles = true;
+  const JobRunner runner(spec, {.warmup_sec = 10.0, .measure_sec = 20.0});
+  const runtime::Evaluator offline = make_runner_evaluator(runner);
+  const std::vector<Parallelism> configs{{1, 1, 1}, {2, 1, 1}, {1, 1, 1}};
+  std::vector<runtime::JobMetrics> reference;
+  for (const Parallelism& p : configs) reference.push_back(offline(p));
+
+  const SimTrialService trials(spec);
+  const runtime::Evaluator first = trials.evaluator_at(30000.0, 10.0, 20.0);
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    expect_same_metrics(reference[i], first(configs[i]));
+  }
+  EXPECT_EQ(trials.runs_simulated(), 3u);
+  EXPECT_EQ(trials.runs_replayed(), 0u);
+
+  const runtime::Evaluator second = trials.evaluator_at(30000.0, 10.0, 20.0);
+  expect_same_metrics(reference[1], second({2, 1, 1}));
+  expect_same_metrics(reference[0], second({1, 1, 1}));
+  expect_same_metrics(reference[2], second({1, 1, 1}));
+  EXPECT_EQ(trials.runs_simulated(), 3u);
+  EXPECT_EQ(trials.runs_replayed(), 3u);
+  EXPECT_EQ(trials.runs_held(), 3u);
+}
+
+TEST(TrialLedger, FannedOutTrialsMatchSerialOnes) {
+  // The Plan stage fans trials out over worker threads: a run simulated or
+  // replayed on any thread is the run a serial evaluator measures.
+  JobSpec spec = small_job(30000.0);
+  spec.engine.measurement_noise = 0.05;
+  const JobRunner runner(spec, {.warmup_sec = 5.0, .measure_sec = 5.0});
+  const runtime::Evaluator offline = make_runner_evaluator(runner);
+  std::vector<Parallelism> configs;
+  for (int k = 1; k <= 8; ++k) configs.push_back({k, 1, 1});
+  std::vector<runtime::JobMetrics> reference;
+  for (const Parallelism& p : configs) reference.push_back(offline(p));
+
+  const SimTrialService trials(spec);
+  for (int stage = 0; stage < 2; ++stage) {
+    const runtime::Evaluator evaluate = trials.evaluator_at(30000.0, 5.0, 5.0);
+    const std::vector<runtime::JobMetrics> got = exec::parallel_map(
+        exec::ExecContext(4), configs.size(),
+        [&](std::size_t i) { return evaluate(configs[i]); });
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      expect_same_metrics(reference[i], got[i]);
+    }
+  }
+  EXPECT_EQ(trials.runs_simulated(), configs.size());
+  EXPECT_EQ(trials.runs_replayed(), configs.size());
+}
+
+TEST(TrialLedger, AnotherSettingStartsANewTable) {
+  // The service holds one setting's runs: another rate or window drops
+  // them, while an evaluator of the old setting keeps measuring at it.
+  JobSpec spec = small_job(30000.0);
+  spec.engine.measurement_noise = 0.05;
+  const SimTrialService trials(spec);
+  const Parallelism p{1, 1, 1};
+  const runtime::Evaluator old_setting =
+      trials.evaluator_at(30000.0, 10.0, 20.0);
+  const runtime::JobMetrics first = old_setting(p);
+  (void)old_setting({2, 1, 1});
+  EXPECT_EQ(trials.runs_held(), 2u);
+
+  const runtime::Evaluator faster = trials.evaluator_at(40000.0, 10.0, 20.0);
+  EXPECT_EQ(trials.runs_held(), 0u);
+  EXPECT_EQ(faster(p).input_rate, 40000.0);
+  EXPECT_EQ(trials.runs_held(), 1u);
+  const runtime::Evaluator longer = trials.evaluator_at(40000.0, 10.0, 30.0);
+  EXPECT_EQ(trials.runs_held(), 0u);
+  (void)longer(p);
+  EXPECT_EQ(trials.runs_held(), 1u);
+  EXPECT_EQ(trials.runs_simulated(), 4u);
+  EXPECT_EQ(trials.runs_replayed(), 0u);
+
+  const JobRunner runner(spec, {.warmup_sec = 10.0, .measure_sec = 20.0});
+  const runtime::Evaluator offline = make_runner_evaluator(runner);
+  expect_same_metrics(first, offline(p));
+  const runtime::JobMetrics rerun = old_setting(p);
+  EXPECT_EQ(rerun.input_rate, 30000.0);
+  expect_same_metrics(offline(p), rerun);
+  EXPECT_EQ(trials.runs_held(), 1u);
+
+  // Back at the first setting, nothing is left to replay.
+  const runtime::Evaluator again = trials.evaluator_at(30000.0, 10.0, 20.0);
+  expect_same_metrics(first, again(p));
+  EXPECT_EQ(trials.runs_simulated(), 6u);
+  EXPECT_EQ(trials.runs_replayed(), 0u);
 }
 
 TEST(JobRunner, PercentilesOnlyOnRequest) {

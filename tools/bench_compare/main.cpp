@@ -25,6 +25,7 @@
 // parses only the restricted JSON bench::JsonReport emits — one object
 // per row line, string and %.6g number literals, no nesting.
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -33,6 +34,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -54,6 +56,18 @@ struct Report {
                "          [--key FIELD]... [--subset]\n",
                argv0);
   std::exit(2);
+}
+
+/// A budget parsed whole ("0.3x", "O" and "" are usage errors, never a
+/// truncated number or a silent 0), finite and non-negative.
+double parse_budget(const char* s, const char* argv0) {
+  double v = 0.0;
+  const char* end = s + std::strlen(s);
+  const auto [ptr, ec] = std::from_chars(s, end, v);
+  if (ec != std::errc() || ptr != end || !std::isfinite(v) || v < 0.0) {
+    usage(argv0);
+  }
+  return v;
 }
 
 [[noreturn]] void parse_fail(const std::string& path, int lineno,
@@ -171,9 +185,10 @@ int main(int argc, char** argv) {
       const std::string spec = value();
       const std::size_t eq = spec.find('=');
       if (eq == std::string::npos) usage(argv[0]);
-      budgets[spec.substr(0, eq)] = std::atof(spec.c_str() + eq + 1);
+      budgets[spec.substr(0, eq)] =
+          parse_budget(spec.c_str() + eq + 1, argv[0]);
     } else if (arg == "--default-budget") {
-      default_budget = std::atof(value());
+      default_budget = parse_budget(value(), argv[0]);
     } else if (arg == "--skip") {
       skips.push_back(value());
     } else if (arg == "--key") {
