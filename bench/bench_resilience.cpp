@@ -64,7 +64,8 @@ void report_row(bench::JsonReport& report, const char* schedule,
       .num("decisions", r.decisions)
       .num("trials", r.trials)
       .num("trial_runs_simulated",
-           static_cast<double>(r.trial_runs_simulated));
+           static_cast<double>(r.trial_runs_simulated))
+      .num("mirror_points", static_cast<double>(r.mirror_points));
 }
 
 void run_schedule(const char* name, double horizon, const sim::JobSpec& spec,

@@ -13,6 +13,8 @@
 // latency target the base configuration cannot meet; scale-down starts it
 // grossly over-provisioned. AuTraScale is seeded with the scenario's
 // starting configuration as its first sample (the already-running job).
+#include <cmath>
+
 #include "baselines/drs.hpp"
 #include "bench_util.hpp"
 #include "core/steady_rate.hpp"
@@ -118,9 +120,9 @@ void print_scenario(const char* table, Scenario sc) {
     const double saving =
         100.0 * (bench::total(r.config) - bench::total(autra_row->config)) /
         std::max(1, bench::total(r.config));
-    std::printf("  -> AuTraScale uses %+.1f%% %s resources than %s%s\n",
-                -saving, saving >= 0 ? "fewer" : "more", r.method.c_str(),
-                r.qos_met ? "" : " (which violates QoS)");
+    std::printf("  -> AuTraScale uses %.1f%% %s resources than %s%s\n",
+                std::abs(saving), saving >= 0 ? "fewer" : "more",
+                r.method.c_str(), r.qos_met ? "" : " (which violates QoS)");
   }
 }
 

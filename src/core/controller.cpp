@@ -368,9 +368,10 @@ bool AuTraScaleController::lag_drain_step(
   return true;
 }
 
-void AuTraScaleController::prime(const runtime::StreamingBackend& session) {
+void AuTraScaleController::prime(runtime::StreamingBackend& session) {
   stable_since_ = session.now();
   known_restarts_ = session.restarts();
+  session.retain_history(history_window_sec());
 }
 
 void AuTraScaleController::observe_window(

@@ -222,10 +222,19 @@ class AuTraScaleController {
                                    double until_sec);
 
   /// Latches the restart watermark and the stabilisation clock against the
-  /// session's current state. run() calls this on entry; a co-simulation
-  /// harness that owns the advance loop (mt::MultiTenantHarness) calls it
-  /// once before its first window.
-  void prime(const runtime::StreamingBackend& session);
+  /// session's current state, and declares history_window_sec() to it
+  /// (StreamingBackend::retain_history). run() calls this on entry; a
+  /// co-simulation harness that owns the advance loop
+  /// (mt::MultiTenantHarness) calls it once before its first window.
+  void prime(runtime::StreamingBackend& session);
+
+  /// Longest history() window the loop reads, as declared in prime(). A
+  /// window spans one policy interval, but it can end an engine tick late,
+  /// and a point at its start can fall a rounding error short of
+  /// (end - interval); one more interval is kept as slack.
+  [[nodiscard]] double history_window_sec() const noexcept {
+    return 2.0 * params_.policy_interval_sec;
+  }
 
   /// One Monitor -> Analyze -> Plan -> Execute iteration over the window
   /// that began at `t0` and ends at session.now(). The caller has already

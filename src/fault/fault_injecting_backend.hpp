@@ -17,6 +17,11 @@
 // With an empty schedule the decorator is observationally transparent and
 // zero-cost: every call forwards, and history() returns the inner store
 // by reference (no mirroring).
+//
+// retain_history() bounds the mirror, which then holds only the window its
+// readers declared. The declaration is not forwarded: the mirror is filled
+// from the inner history by index, so the inner store must keep every
+// point.
 #pragma once
 
 #include <vector>
@@ -49,7 +54,14 @@ class FaultInjectingBackend final : public runtime::StreamingBackend {
   [[nodiscard]] const runtime::MetricStore& history() const override {
     return mirror_metrics_ ? mirror_ : inner_.history();
   }
+  void retain_history(double seconds) override { mirror_.retain(seconds); }
   [[nodiscard]] int restarts() const override { return inner_.restarts(); }
+
+  /// Points the faulted view holds; 0 without metric faults, when
+  /// history() is the inner store itself.
+  [[nodiscard]] std::size_t mirror_points() const noexcept {
+    return mirror_.points_held();
+  }
 
   [[nodiscard]] const FaultSchedule& schedule() const noexcept {
     return schedule_;

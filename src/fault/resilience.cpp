@@ -95,6 +95,11 @@ ResilienceReport run_resilience(const std::string& policy,
   const int max_parallelism = sim::Cluster(job.cluster).max_parallelism();
   const double interval = options.policy_interval_sec;
 
+  if (policy != "autrascale") {
+    // Static and the reactive baselines read window_metrics(), never the
+    // history; the controller declares its own window in prime().
+    faulted.retain_history(0.0);
+  }
   if (policy == "static") {
     faulted.run_for(options.horizon_sec);
   } else if (policy == "autrascale") {
@@ -152,6 +157,7 @@ ResilienceReport run_resilience(const std::string& policy,
 
   summarize(session, schedule, options.horizon_sec, report);
   report.failed_rescales = faulted.failed_rescales();
+  report.mirror_points = faulted.mirror_points();
   report.restarts = session.restarts();
   report.failure_restarts = session.failure_restarts();
   return report;

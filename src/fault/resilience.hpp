@@ -19,6 +19,7 @@
 //     JobRunner per candidate) — trials model offline profiling runs.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -64,6 +65,10 @@ struct ResilienceReport {
   /// sim::SimTrialService simulated rather than replayed.
   int trials = 0;
   std::uint64_t trial_runs_simulated = 0;
+  /// Points the decorator's faulted history holds at the end of the run:
+  /// the window its reader declared, 0 when the schedule has no metric
+  /// faults.
+  std::size_t mirror_points = 0;
 };
 
 /// The policy names run_resilience() accepts.

@@ -4,10 +4,9 @@
 #include <stdexcept>
 #include <utility>
 
-namespace autra::mt {
+#include "runtime/backend.hpp"
 
-/// advance_all()'s stop tolerance; run() stops on the same test.
-constexpr double kAdvanceToleranceSec = 1e-9;
+namespace autra::mt {
 
 void TenantSession::run_for(double sec) {
   harness_->tenant_run_for(index_, sec);
@@ -138,7 +137,7 @@ void MultiTenantHarness::advance_all(double target) {
   }
   started_ = true;
   double t = now();
-  while (t + kAdvanceToleranceSec < target) {
+  while (t + runtime::kRunForToleranceSec < target) {
     const double next = std::min(target, t + params_.coupling_interval_sec);
     // Shared absolute targets: each tenant's engine runs whole ticks up to
     // `next`, so the slicing cannot perturb its float arithmetic.
@@ -205,7 +204,7 @@ void MultiTenantHarness::run(double until_sec) {
   }
   started_ = true;
   for (Tenant& tenant : tenants_) tenant.controller->prime(*tenant.backend);
-  while (now() + kAdvanceToleranceSec < until_sec) {
+  while (now() + runtime::kRunForToleranceSec < until_sec) {
     for (Tenant& tenant : tenants_) tenant.session->reset_window();
     const double t0 = now();
     double interval = tenants_.front().policy_interval_sec;

@@ -72,6 +72,13 @@ class StreamingBackend {
   /// Continuous gauge history spanning the whole session (all restarts).
   [[nodiscard]] virtual const MetricStore& history() const = 0;
 
+  /// A reader's promise: it queries history() only over windows that end
+  /// at now() and are at most `seconds` long, so older points may be
+  /// dropped (MetricStore::retain). Declarations combine by max, and a
+  /// backend nobody declares to keeps everything. Honouring the promise is
+  /// optional; the default keeps every point.
+  virtual void retain_history(double /*seconds*/) {}
+
   /// Number of reconfigurations applied so far.
   [[nodiscard]] virtual int restarts() const = 0;
 };

@@ -8,13 +8,17 @@
 // API for cold paths (tests, CSV export), while policy-interval consumers
 // resolve ids once and read incrementally maintained window sums
 // (per-series cumulative sums make a window mean two binary searches plus
-// a subtraction, never a copy).
+// a subtraction, never a copy). A store can be told how far back its
+// readers reach (MetricStore::retain), and then keeps only that much of
+// each series.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -89,9 +93,29 @@ class MetricSink {
   virtual void record(MetricId id, double time, double value) = 0;
 };
 
+/// Thrown by a MetricStore window query that reaches a point the store's
+/// retention horizon has already dropped: the answer would cover only part
+/// of the window.
+class HistoryTrimmed : public std::out_of_range {
+ public:
+  explicit HistoryTrimmed(const std::string& what)
+      : std::out_of_range(what) {}
+};
+
 /// In-memory time-series store — the InfluxDB stand-in of the MAPE loop's
 /// Monitor stage. Per-series storage is columnar (times / values /
 /// cumulative sums in separate contiguous arrays).
+///
+/// Retention: by default every point is kept. After retain(R), each series
+/// holds only its points with time >= (its newest time - R), plus the
+/// running sum of the points it dropped, so range()/sum()/mean() over a
+/// window that starts after the newest dropped point return the same
+/// doubles an unbounded store would, and series() the same trailing
+/// points. A window [t0, t1] with t0 <= t1 that starts at or before the
+/// newest dropped point throws HistoryTrimmed. Dropping advances a
+/// per-series head index, and the columns are compacted once at least half
+/// of them (and at least 64 points) is dropped, so a record() stays
+/// amortised O(1).
 class MetricStore final : public MetricSink {
  public:
   // --- id-based hot path -------------------------------------------------
@@ -108,20 +132,33 @@ class MetricStore final : public MetricSink {
     return nonfinite_dropped_;
   }
 
-  /// Columnar view of one series; empty spans for an invalid/unknown id.
+  /// Declares that reads of this store reach at most `seconds` back from
+  /// each series' newest point; points older than that are dropped now and
+  /// as newer ones arrive. Declarations combine by max, so every reader can
+  /// declare its own reach; a store nobody declares to keeps everything.
+  /// Throws std::invalid_argument on a negative or NaN `seconds`
+  /// (+infinity keeps everything).
+  void retain(double seconds);
+  /// Points held over every series (what retention bounds).
+  [[nodiscard]] std::size_t points_held() const noexcept;
+
+  /// Columnar view of the points one series holds; empty spans for an
+  /// invalid/unknown id.
   struct SeriesView {
     std::span<const double> times;
     std::span<const double> values;
   };
   [[nodiscard]] SeriesView series(MetricId id) const;
 
-  /// Index range [first, last) of the points with time in [t0, t1].
+  /// Index range [first, last) into series(id) of the points with time in
+  /// [t0, t1]. Throws HistoryTrimmed when the window reaches a dropped
+  /// point.
   [[nodiscard]] std::pair<std::size_t, std::size_t> range(MetricId id,
                                                           double t0,
                                                           double t1) const;
 
   /// Sum over [t0, t1] from the cumulative sums (no iteration, no copy);
-  /// nullopt when no points fall in range.
+  /// nullopt when no points fall in range. Throws like range().
   [[nodiscard]] std::optional<double> sum(MetricId id, double t0,
                                           double t1) const;
   [[nodiscard]] std::optional<double> mean(MetricId id, double t0,
@@ -138,7 +175,7 @@ class MetricStore final : public MetricSink {
 
   /// Drops every series *and* the registry (and zeroes
   /// nonfinite_dropped()): previously resolved ids are invalidated and must
-  /// be re-resolved.
+  /// be re-resolved. The declared retention stays.
   void clear();
 
   /// Writes the selected series as CSV (`time,<series...>`), one row per
@@ -152,15 +189,26 @@ class MetricStore final : public MetricSink {
   struct Series {
     std::vector<double> times;
     std::vector<double> values;
-    /// cumsum[i] = values[0] + ... + values[i], maintained per record() so
-    /// any window sum is O(log n).
+    /// Running sum of every value the series was ever given, dropped ones
+    /// included, maintained per record() so any window sum is O(log n).
     std::vector<double> cumsum;
+    /// Index of the first held point; the ones before it are dropped and
+    /// wait for the next compaction.
+    std::size_t head = 0;
+    /// Running sum and time of the newest dropped point (0 and -infinity
+    /// while none is dropped).
+    double cut_sum = 0.0;
+    double cut_time = -std::numeric_limits<double>::infinity();
   };
 
   [[nodiscard]] const Series* series_ptr(MetricId id) const;
+  /// Drops the points of `s` older than its newest time minus
+  /// `retention`, then compacts if enough of the columns is dropped.
+  static void trim(Series& s, double retention);
 
   MetricRegistry registry_;
   std::vector<Series> series_;
+  std::optional<double> retention_;
   std::uint64_t nonfinite_dropped_ = 0;
 };
 

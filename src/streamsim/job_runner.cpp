@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
+#include <string_view>
 
 namespace autra::sim {
 
@@ -31,6 +32,19 @@ std::unique_ptr<Engine> build_engine(const JobSpec& spec, const Parallelism& p,
   }
   return engine;
 }
+
+/// A sink that keeps nothing. A trial is read through snapshot(), which
+/// reads the engine's counters and never its gauges, so a trial engine
+/// writes here instead of filling its own store. The engine still computes
+/// every gauge, measurement noise included, before it calls record().
+class DiscardingSink final : public runtime::MetricSink {
+ public:
+  runtime::MetricId resolve(std::string_view /*name*/) override {
+    return runtime::MetricId(0);
+  }
+  void record(runtime::MetricId /*id*/, double /*time*/,
+              double /*value*/) override {}
+};
 
 /// The evaluator behind make_runner_evaluator() and
 /// SimTrialService::evaluator_at(): one TrialLedger, shared by the copies
@@ -94,7 +108,9 @@ int JobRunner::max_parallelism() const {
 
 runtime::JobMetrics JobRunner::measure(const Parallelism& p,
                                        std::uint64_t seed_salt) const {
+  DiscardingSink gauges;  // Outlives the engine that writes to it.
   auto engine = make_engine(spec_, p, 0.0, seed_salt);
+  engine->set_external_metrics(&gauges);
   engine->run_until(params_.warmup_sec);
   engine->reset_counters();
   engine->run_until(params_.warmup_sec + params_.measure_sec);

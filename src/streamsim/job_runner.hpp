@@ -82,7 +82,8 @@ class JobRunner {
   /// post-warm-up window metrics. `seed_salt` perturbs measurement noise so
   /// repeated evaluations differ like real reruns do. Safe to call
   /// concurrently: each call builds its own engine and shares only the
-  /// immutable spec.
+  /// immutable spec. The engine's gauges are computed (their noise drawn)
+  /// but not stored: the metrics come from its counters.
   [[nodiscard]] runtime::JobMetrics measure(const Parallelism& p,
                                             std::uint64_t seed_salt = 0) const;
 

@@ -6,6 +6,9 @@
 #include "fault/fault_schedule.hpp"
 #include "fault/resilience.hpp"
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -14,6 +17,7 @@
 
 #include "arrival/arrival.hpp"
 #include "core/controller.hpp"
+#include "fault/chaos.hpp"
 #include "runtime/replay_backend.hpp"
 #include "streamsim/job_runner.hpp"
 #include "workloads/workloads.hpp"
@@ -719,6 +723,108 @@ TEST(ControllerResilience, LagDrainIsInertByDefault) {
   EXPECT_TRUE(decisions.empty());
   EXPECT_EQ(controller.stats().failure_restarts, 1);
   EXPECT_EQ(controller.stats().lag_drains, 0);
+}
+
+// --- Mirror retention (StreamingBackend::retain_history) -------------------
+
+/// A forwarding decorator that does not pass retain_history() on, like a
+/// tracing wrapper written without it: the backend it wraps keeps every
+/// point.
+class UndeclaredBackend final : public runtime::StreamingBackend {
+ public:
+  explicit UndeclaredBackend(runtime::StreamingBackend& inner)
+      : inner_(inner) {}
+  void run_for(double sec) override { inner_.run_for(sec); }
+  void reconfigure(const runtime::Parallelism& p,
+                   runtime::RescaleMode mode =
+                       runtime::RescaleMode::kColdRestart) override {
+    inner_.reconfigure(p, mode);
+  }
+  [[nodiscard]] double now() const override { return inner_.now(); }
+  [[nodiscard]] const runtime::Parallelism& parallelism() const override {
+    return inner_.parallelism();
+  }
+  [[nodiscard]] runtime::JobMetrics window_metrics() const override {
+    return inner_.window_metrics();
+  }
+  void reset_window() override { inner_.reset_window(); }
+  [[nodiscard]] const runtime::MetricStore& history() const override {
+    return inner_.history();
+  }
+  [[nodiscard]] int restarts() const override { return inner_.restarts(); }
+
+ private:
+  runtime::StreamingBackend& inner_;
+};
+
+TEST(MirrorRetention, DeclaredWindowBoundsTheMirrorAndMovesNoDecision) {
+  // Twelve simulated hours of chaos, metric dropouts and delays among the
+  // faults, through the decorator: once with the controller's declaration
+  // reaching the mirror, once through a wrapper that drops it.
+  const double horizon = 12.0 * 3600.0;
+  const sim::JobSpec spec =
+      workloads::word_count(std::make_shared<sim::ConstantRate>(220e3));
+  fault::ChaosProfile profile =
+      fault::ChaosProfile::for_job(spec, horizon, 0.5);
+  profile.max_duration_frac = 600.0 / horizon;
+  const fault::FaultSchedule schedule =
+      fault::ChaosGenerator(profile).generate(1);
+  ASSERT_TRUE(schedule.has_metric_faults());
+
+  core::ControllerParams params;
+  params.steady.target_latency_ms = 300.0;
+  params.steady.target_throughput = 0.0;  // Track the input rate.
+  params.steady.bootstrap_m = 4;
+  params.steady.max_evaluations = 24;
+  params.policy_interval_sec = 60.0;
+  params.policy_running_time_sec = 120.0;
+  params.resilience.metric_interval_sec = spec.engine.metric_interval_sec;
+  params.resilience.failure_cooldown_sec = 60.0;
+
+  struct Episode {
+    std::vector<core::ControlDecision> decisions;
+    core::LoopStats stats;
+    double window_sec = 0.0;
+    std::size_t most_held = 0;  ///< In one series, at any window end.
+  };
+  const auto episode = [&](bool declare) {
+    Episode ep;
+    sim::ScalingSession session(
+        spec, sim::Parallelism(spec.topology.num_operators(), 1));
+    fault::FaultInjectingBackend faulted(session, schedule);
+    UndeclaredBackend undeclared(faulted);
+    runtime::StreamingBackend& backend =
+        declare ? static_cast<runtime::StreamingBackend&>(faulted)
+                : undeclared;
+    core::AuTraScaleController controller(
+        spec.topology, sim::make_trial_service(spec), params);
+    const runtime::MetricStore& mirror = faulted.history();
+    controller.prime(backend);
+    while (runtime::before_horizon(backend, horizon)) {
+      backend.reset_window();
+      const double t0 = backend.now();
+      backend.run_for(std::min(params.policy_interval_sec, horizon - t0));
+      for (std::uint32_t i = 0; i < mirror.registry().size(); ++i) {
+        ep.most_held = std::max(
+            ep.most_held, mirror.series(runtime::MetricId(i)).times.size());
+      }
+      controller.observe_window(backend, t0, ep.decisions);
+    }
+    ep.stats = controller.stats();
+    ep.window_sec = controller.history_window_sec();
+    return ep;
+  };
+  const Episode bounded = episode(true);
+  const Episode unbounded = episode(false);
+
+  EXPECT_FALSE(bounded.decisions.empty());
+  EXPECT_EQ(bounded.decisions, unbounded.decisions);
+  EXPECT_EQ(bounded.stats, unbounded.stats);
+  const auto most = static_cast<std::size_t>(std::ceil(
+                        bounded.window_sec / spec.engine.metric_interval_sec)) +
+                    1;
+  EXPECT_LE(bounded.most_held, most);
+  EXPECT_GT(unbounded.most_held, 100 * most);
 }
 
 TEST(Resilience, BaselineLoopStopsWhenClockEndsShortOfHorizon) {

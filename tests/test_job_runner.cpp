@@ -1,6 +1,7 @@
 // Tests for the JobRunner evaluation harness and the live ScalingSession.
 #include "streamsim/job_runner.hpp"
 
+#include <memory>
 #include <vector>
 
 #include "exec/exec.hpp"
@@ -129,6 +130,25 @@ void expect_same_metrics(const runtime::JobMetrics& a,
     EXPECT_EQ(x.queue_length, y.queue_length);
     EXPECT_EQ(x.parallelism, y.parallelism);
   }
+}
+
+TEST(JobRunner, TrialKeepsNoGaugesButMeasuresLikeAStoringEngine) {
+  // measure() hands its engine a sink that keeps nothing. Every gauge, and
+  // the noise drawn for it, is still computed, so the trial's metrics
+  // equal those of an engine that stores its gauges in its own store.
+  JobSpec spec = small_job(30000.0);
+  spec.engine.measurement_noise = 0.05;
+  spec.engine.latency_percentiles = true;
+  const JobRunner runner(spec, {.warmup_sec = 10.0, .measure_sec = 20.0});
+  const Parallelism p = {1, 2, 1};
+  const runtime::JobMetrics trial = runner.measure(p, 3);
+
+  const std::unique_ptr<Engine> engine = make_engine(spec, p, 0.0, 3);
+  engine->run_until(10.0);
+  engine->reset_counters();
+  engine->run_until(30.0);
+  EXPECT_GT(engine->metrics().points_held(), 0u);
+  expect_same_metrics(trial, snapshot(*engine));
 }
 
 TEST(SimTrialService, EvaluatorIsTheRunnerEvaluator) {

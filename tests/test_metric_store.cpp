@@ -1,10 +1,17 @@
 // Unit tests for the interned-id metrics pipeline: the registry, the
-// columnar MetricStore, its window-query boundary behaviour, and the CSV
-// export corner cases.
+// columnar MetricStore, its window-query boundary behaviour, its retention
+// horizon, and the CSV export corner cases.
 #include "runtime/metrics.hpp"
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <optional>
+#include <random>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -138,6 +145,142 @@ TEST(MetricStore, WriteCsvUnionOfTimestamps) {
             "0,1,\n"
             "1,,2\n"
             "2,3,\n");
+}
+
+// --- Retention -------------------------------------------------------------
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+bool same_bits(std::optional<double> a, std::optional<double> b) {
+  return a.has_value() == b.has_value() && (!a || same_bits(*a, *b));
+}
+
+TEST(MetricStoreRetention, WindowsInsideTheHorizonMatchAnUnboundedStore) {
+  // Random series with repeated timestamps and non-finite points, written
+  // to a bounded and an unbounded store. After every write, the bounded
+  // store holds exactly the points within R of the series' newest, every
+  // window that starts inside R reads the same doubles from both, and a
+  // window reaching a dropped point throws.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::mt19937_64 rng(31);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  for (const double horizon : {0.0, 0.5, 7.0, 40.0}) {
+    MetricStore full;
+    MetricStore bounded;
+    bounded.retain(horizon);
+    std::vector<MetricId> ids;
+    for (const char* name : {"a", "b", "c"}) {
+      ids.push_back(full.resolve(name));
+      ASSERT_EQ(bounded.resolve(name), ids.back());
+    }
+    std::vector<double> clock(ids.size(), 0.0);
+    for (int step = 0; step < 3000; ++step) {
+      const std::size_t k = rng() % ids.size();
+      if (unit(rng) < 0.7) clock[k] += 2.0 * unit(rng);  // Else a repeat.
+      double time = clock[k];
+      double value = 100.0 * (unit(rng) - 0.3);
+      const double roll = unit(rng);
+      if (roll < 0.01) {
+        value = kNaN;
+      } else if (roll < 0.02) {
+        value = kInf;
+      } else if (roll < 0.03) {
+        time = kNaN;
+      }
+      full.record(ids[k], time, value);
+      bounded.record(ids[k], time, value);
+
+      const MetricId id = ids[k];
+      const MetricStore::SeriesView all = full.series(id);
+      const MetricStore::SeriesView held = bounded.series(id);
+      if (all.times.empty()) continue;
+      const double newest = all.times.back();
+      const auto kept_from = std::lower_bound(all.times.begin(),
+                                              all.times.end(),
+                                              newest - horizon);
+      const auto dropped =
+          static_cast<std::size_t>(kept_from - all.times.begin());
+      ASSERT_EQ(held.times.size(), all.times.size() - dropped);
+      for (std::size_t i = 0; i < held.times.size(); ++i) {
+        ASSERT_TRUE(same_bits(held.times[i], all.times[dropped + i]));
+        ASSERT_TRUE(same_bits(held.values[i], all.values[dropped + i]));
+      }
+
+      for (int w = 0; w < 4; ++w) {
+        const double t0 = w == 0 ? held.times.front()
+                                 : newest - horizon +
+                                       (horizon + 1.0) * unit(rng);
+        const double t1 = t0 + (horizon + 1.0) * unit(rng);
+        const auto [f0, l0] = full.range(id, t0, t1);
+        const auto [f1, l1] = bounded.range(id, t0, t1);
+        ASSERT_EQ(l1 - f1, l0 - f0);
+        for (std::size_t i = 0; i < l0 - f0; ++i) {
+          ASSERT_TRUE(same_bits(held.values[f1 + i], all.values[f0 + i]));
+        }
+        ASSERT_TRUE(same_bits(bounded.sum(id, t0, t1), full.sum(id, t0, t1)));
+        ASSERT_TRUE(
+            same_bits(bounded.mean(id, t0, t1), full.mean(id, t0, t1)));
+      }
+      if (dropped > 0) {
+        const double cut = all.times[dropped - 1];
+        EXPECT_THROW(bounded.range(id, cut, newest), HistoryTrimmed);
+        EXPECT_THROW(bounded.sum(id, cut - 1.0, cut), HistoryTrimmed);
+        EXPECT_THROW(bounded.mean(id, all.times.front(), newest),
+                     HistoryTrimmed);
+      }
+    }
+    std::size_t held_total = 0;
+    for (const MetricId id : ids) held_total += bounded.series(id).times.size();
+    EXPECT_EQ(bounded.points_held(), held_total);
+    EXPECT_LT(bounded.points_held(), full.points_held());
+    EXPECT_GT(full.nonfinite_dropped(), 0u);
+    EXPECT_EQ(bounded.nonfinite_dropped(), full.nonfinite_dropped());
+  }
+}
+
+TEST(MetricStoreRetention, DeclarationsCombineByMax) {
+  MetricStore db;
+  const MetricId id = db.resolve("s");
+  for (int t = 0; t <= 100; ++t) db.record(id, t, 1.0);
+  EXPECT_EQ(db.points_held(), 101u);  // Nobody declared: all kept.
+
+  db.retain(10.0);  // Applies to the points already held.
+  EXPECT_EQ(db.series(id).times.size(), 11u);
+  EXPECT_EQ(db.sum(id, 90.0, 100.0).value(), 11.0);
+  db.retain(0.0);  // A shorter reach leaves the longer one.
+  db.record(id, 101.0, 1.0);
+  EXPECT_EQ(db.series(id).times.size(), 11u);
+  EXPECT_EQ(db.series(id).times.front(), 91.0);
+
+  // A longer reach widens it from here on. Dropped points stay dropped,
+  // and a window reaching them throws.
+  db.retain(30.0);
+  EXPECT_EQ(db.series(id).times.size(), 11u);
+  EXPECT_THROW(db.mean(id, 80.0, 101.0), HistoryTrimmed);
+  EXPECT_THROW(db.range(id, 90.0, 90.5), std::out_of_range);
+  EXPECT_FALSE(db.mean(id, 91.0, 90.0).has_value());  // Reaches nothing.
+  for (int t = 102; t <= 200; ++t) db.record(id, t, 1.0);
+  EXPECT_EQ(db.series(id).times.size(), 31u);
+  EXPECT_EQ(db.last(id)->time, 200.0);
+
+  EXPECT_THROW(db.retain(-1.0), std::invalid_argument);
+  EXPECT_THROW(db.retain(std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  db.retain(std::numeric_limits<double>::infinity());
+  for (int t = 201; t <= 300; ++t) db.record(id, t, 1.0);
+  EXPECT_EQ(db.series(id).times.size(), 131u);
+
+  MetricStore cleared;
+  cleared.retain(5.0);
+  cleared.record(cleared.resolve("s"), 0.0, 1.0);
+  cleared.clear();  // Forgets the series, keeps the declaration.
+  EXPECT_EQ(cleared.points_held(), 0u);
+  const MetricId again = cleared.resolve("s");
+  for (int t = 0; t <= 100; ++t) cleared.record(again, t, 1.0);
+  EXPECT_EQ(cleared.points_held(), 6u);
 }
 
 }  // namespace
