@@ -78,6 +78,9 @@ ChaosProfile ChaosProfile::for_cluster(const sim::Cluster& cluster,
   ChaosProfile p;
   p.horizon_sec = horizon_sec;
   p.intensity = intensity;
+  // No event outlasts ten minutes, however long the horizon: a fixed
+  // fraction of a day-long run would keep the job down for hours.
+  p.max_duration_frac = std::min(p.max_duration_frac, 600.0 / horizon_sec);
   p.num_machines = cluster.num_machines();
   // Only multi-machine racks are correlated-failure domains worth
   // crashing as a group; singletons are plain machine-down territory.

@@ -71,7 +71,8 @@ struct ChaosProfile {
   /// empty.
   std::vector<std::string> services;
   /// Event-duration bounds: uniform in [min_duration_sec,
-  /// max_duration_frac * horizon_sec].
+  /// max_duration_frac * horizon_sec]. for_cluster() lowers the fraction
+  /// so no event lasts over 600 s (horizons above 5000 s).
   double min_duration_sec = 20.0;
   double max_duration_frac = 0.12;
   /// Time correlation of event onsets, in [0, 1). 0 (the default) keeps

@@ -11,8 +11,8 @@ namespace autra::sim {
 
 namespace {
 constexpr double kEps = 1e-12;
-/// Placement entries folded per capacity chunk. Fixed so the serial and
-/// sharded refresh paths evaluate the identical partial sums.
+/// Placement entries folded per capacity chunk. Fixed, so a machine change
+/// recomputes one chunk per operator placed on it.
 constexpr std::size_t kCapacityChunk = 1024;
 }  // namespace
 
@@ -33,20 +33,31 @@ NetworkModel Engine::make_network() const {
   if (params_.load_epsilon < 0.0) {
     throw std::invalid_argument("Engine: negative load_epsilon");
   }
+  if (faults_->num_machines() != cluster_.num_machines()) {
+    throw std::invalid_argument(
+        "Engine: fault timeline sized for another cluster");
+  }
   return NetworkModel(topo_, cluster_, parallelism_);
 }
 
+void Engine::cut_partition(const std::vector<std::size_t>& island) {
+  std::vector<char> on_island(cluster_.num_machines(), 0);
+  for (const std::size_t m : island) on_island[m] = 1;
+  network_.add_partition(on_island);
+}
+
 Engine::Engine(Topology topology, Cluster cluster, Parallelism parallelism,
-               std::unique_ptr<KafkaLog> kafka, EngineParams params)
+               std::unique_ptr<KafkaLog> kafka, EngineParams params,
+               std::unique_ptr<FaultTimeline> faults)
     : topo_(std::move(topology)),
       cluster_(std::move(cluster)),
       parallelism_(std::move(parallelism)),
       kafka_(std::move(kafka)),
       params_(params),
       interference_(params.interference),
-      faults_(cluster_.num_machines()),
+      faults_(faults ? std::move(faults)
+                     : std::make_unique<FaultTimeline>(cluster_.num_machines())),
       network_(make_network()),
-      exec_(params.threads),
       rng_(params.seed) {
   if (params_.latency_percentiles) proc_distribution_.emplace(params_.seed);
   const std::size_t num_ops = topo_.num_operators();
@@ -111,49 +122,41 @@ Engine::Engine(Topology topology, Cluster cluster, Parallelism parallelism,
       pl.count.push_back(count[m]);
       machine_ops_[m].emplace_back(i, count[m]);
     }
-    const std::size_t chunks =
-        (pl.machine.size() + kCapacityChunk - 1) / kCapacityChunk;
-    pl.chunk_sum.assign(chunks, 0.0);
-    for (std::size_t c = 0; c < chunks; ++c) {
-      all_chunks_.emplace_back(static_cast<std::uint32_t>(i),
-                               static_cast<std::uint32_t>(c));
-    }
+    pl.chunk_sum.assign(
+        (pl.machine.size() + kCapacityChunk - 1) / kCapacityChunk, 0.0);
+  }
+  // A carried timeline's partitions cut this engine's own placement.
+  for (const FaultTimeline::Event& e : faults_->events()) {
+    if (e.kind == FaultTimeline::Kind::kPartition) cut_partition(e.island);
   }
 
   now_ = params_.start_time;
   window_start_ = now_;
   interval_start_ = now_;
   next_metric_time_ = now_ + params_.metric_interval_sec;
-  metric_ids_ = resolve_metric_ids(metrics_);
+  set_external_metrics(nullptr);
   latency_floor_sec_ = compute_latency_floor_sec();
 }
 
-Engine::MetricIdSet Engine::resolve_metric_ids(
-    runtime::MetricSink& sink) const {
+void Engine::set_external_metrics(runtime::MetricSink* sink) {
   namespace mn = runtime::metric_names;
-  MetricIdSet ids;
-  ids.op.reserve(topo_.num_operators());
+  sink_ = sink != nullptr ? sink : &metrics_;
+  ids_.op.clear();
   for (std::size_t i = 0; i < topo_.num_operators(); ++i) {
     const std::string& name = topo_.op(i).name;
-    ids.op.push_back({sink.resolve(mn::true_rate(name)),
-                      sink.resolve(mn::observed_rate(name)),
-                      sink.resolve(mn::input_rate(name)),
-                      sink.resolve(mn::output_rate(name)),
-                      sink.resolve(mn::queue_size(name))});
+    ids_.op.push_back({sink_->resolve(mn::true_rate(name)),
+                       sink_->resolve(mn::observed_rate(name)),
+                       sink_->resolve(mn::input_rate(name)),
+                       sink_->resolve(mn::output_rate(name)),
+                       sink_->resolve(mn::queue_size(name))});
   }
-  ids.throughput = sink.resolve(mn::kThroughput);
-  ids.latency_mean = sink.resolve(mn::kLatencyMean);
-  ids.event_latency_mean = sink.resolve(mn::kEventLatencyMean);
-  ids.kafka_lag = sink.resolve(mn::kKafkaLag);
-  ids.input_rate = sink.resolve(mn::kInputRate);
-  ids.busy_cores = sink.resolve(mn::kBusyCores);
-  ids.parallelism_total = sink.resolve(mn::kParallelismTotal);
-  return ids;
-}
-
-void Engine::set_external_metrics(runtime::MetricSink* sink) {
-  external_metrics_ = sink;
-  external_ids_ = sink != nullptr ? resolve_metric_ids(*sink) : MetricIdSet{};
+  ids_.throughput = sink_->resolve(mn::kThroughput);
+  ids_.latency_mean = sink_->resolve(mn::kLatencyMean);
+  ids_.event_latency_mean = sink_->resolve(mn::kEventLatencyMean);
+  ids_.kafka_lag = sink_->resolve(mn::kKafkaLag);
+  ids_.input_rate = sink_->resolve(mn::kInputRate);
+  ids_.busy_cores = sink_->resolve(mn::kBusyCores);
+  ids_.parallelism_total = sink_->resolve(mn::kParallelismTotal);
 }
 
 void Engine::set_external_machine_load(const std::vector<double>& load) {
@@ -192,68 +195,6 @@ std::vector<double> Engine::machine_busy_load() const {
     }
   }
   return load;
-}
-
-void Engine::inject_slowdown(std::size_t machine, double speed_factor,
-                             double from_sec, double until_sec) {
-  if (machine >= cluster_.num_machines() || speed_factor <= 0.0 ||
-      until_sec <= from_sec) {
-    throw std::invalid_argument("Engine::inject_slowdown: bad arguments");
-  }
-  faults_.add_slowdown(machine, speed_factor, from_sec, until_sec);
-}
-
-void Engine::inject_machine_down(std::size_t machine, double from_sec,
-                                 double until_sec) {
-  if (machine >= cluster_.num_machines() || until_sec <= from_sec) {
-    throw std::invalid_argument("Engine::inject_machine_down: bad arguments");
-  }
-  faults_.add_machine_down(machine, from_sec, until_sec);
-}
-
-void Engine::inject_ingest_stall(double from_sec, double until_sec) {
-  if (until_sec <= from_sec) {
-    throw std::invalid_argument("Engine::inject_ingest_stall: bad arguments");
-  }
-  faults_.add_ingest_stall(from_sec, until_sec);
-}
-
-void Engine::inject_service_outage(const std::string& service,
-                                   double from_sec, double until_sec) {
-  if (service.empty() || until_sec <= from_sec) {
-    throw std::invalid_argument(
-        "Engine::inject_service_outage: bad arguments");
-  }
-  faults_.add_service_outage(service, from_sec, until_sec);
-}
-
-void Engine::inject_network_partition(const std::vector<std::size_t>& island,
-                                      double from_sec, double until_sec) {
-  if (island.empty() || until_sec <= from_sec) {
-    throw std::invalid_argument(
-        "Engine::inject_network_partition: bad arguments");
-  }
-  std::vector<char> on_island(cluster_.num_machines(), 0);
-  for (std::size_t m : island) {
-    if (m >= cluster_.num_machines() || on_island[m]) {
-      throw std::invalid_argument(
-          "Engine::inject_network_partition: bad or duplicate machine");
-    }
-    on_island[m] = 1;
-  }
-  // An island holding every machine leaves no mainland: nothing is cut and
-  // the "partition" silently becomes a no-op, which is always a schedule
-  // bug rather than an intent.
-  if (island.size() == cluster_.num_machines()) {
-    throw std::invalid_argument(
-        "Engine::inject_network_partition: island covers the whole "
-        "cluster; a partition must leave a mainland");
-  }
-  const std::size_t net_index = network_.add_partition(on_island);
-  const std::size_t fault_index = faults_.add_partition(from_sec, until_sec);
-  if (net_index != fault_index) {
-    throw std::logic_error("Engine: partition index out of sync");
-  }
 }
 
 void Engine::add_external_service(ExternalService service) {
@@ -326,19 +267,11 @@ void Engine::push_downstream(std::size_t op, double mass, double produced,
 // --- Epoch cache maintenance (DESIGN.md §11) ------------------------------
 
 double Engine::compute_factor(std::size_t m, double load) const {
-  if (faults_.machine_down(m)) return 0.0;
+  if (faults_->machine_down(m)) return 0.0;
   const MachineSpec& ms = cluster_.spec().machines[m];
-  const double slow = faults_.slowdown_factor(m);
+  const double slow = faults_->slowdown_factor(m);
   return (ms.speed * slow) /
          interference_.contention_divisor(load, ms.cores, slow);
-}
-
-bool Engine::use_parallel_refresh() const {
-  // Sharding pays for itself only at platform scale, and worker threads
-  // must never open a nested region (engines run inside Plan-stage
-  // parallel trials — the serial fallback keeps that composition legal).
-  return exec_.threads() > 1 && cluster_.num_machines() >= 512 &&
-         !exec::detail::in_parallel_region();
 }
 
 void Engine::recompute_chunk(std::size_t op, std::size_t c) {
@@ -371,13 +304,10 @@ void Engine::fold_capacity(std::size_t op) {
 
 void Engine::full_refresh() {
   ++epoch_stats_.full_refreshes;
-  const exec::ExecContext ctx =
-      use_parallel_refresh() ? exec_ : exec::ExecContext::serial();
-
   // Per-machine busy load (co-tenant background load plus the previous
   // fold's smoothed busy fractions of this job's instances) and the rate
-  // factor it implies. Index-addressed: bit-identical at any thread count.
-  exec::parallel_for(ctx, cluster_.num_machines(), [this](std::size_t m) {
+  // factor it implies.
+  for (std::size_t m = 0; m < cluster_.num_machines(); ++m) {
     double load = machine_bg_[m];
     // Dynamic co-tenant load (multi-tenant coupling). The branch keeps the
     // decoupled sum bitwise identical to the pre-multi-tenant expression.
@@ -387,15 +317,17 @@ void Engine::full_refresh() {
     }
     machine_load_[m] = load;
     machine_factor_[m] = compute_factor(m, load);
-  });
+  }
 
   std::copy(smoothed_busy_.begin(), smoothed_busy_.end(),
             sb_snapshot_.begin());
 
-  exec::parallel_for(ctx, all_chunks_.size(), [this](std::size_t idx) {
-    recompute_chunk(all_chunks_[idx].first, all_chunks_[idx].second);
-  });
-  for (std::size_t i = 0; i < topo_.num_operators(); ++i) fold_capacity(i);
+  for (std::size_t i = 0; i < topo_.num_operators(); ++i) {
+    for (std::size_t c = 0; c < placement_[i].chunk_sum.size(); ++c) {
+      recompute_chunk(i, c);
+    }
+    fold_capacity(i);
+  }
 }
 
 void Engine::refresh_factor(std::size_t m) {
@@ -454,7 +386,7 @@ bool Engine::op_active(std::size_t i, bool suspended) const {
   if (smoothed_busy_[i] != 0.0) return true;
   if (suspended) return false;
   if (topo_.op(i).kind == OperatorKind::kSource) {
-    return !faults_.ingest_stalled() && kafka_->lag() > 0.0;
+    return !faults_->ingest_stalled() && kafka_->lag() > 0.0;
   }
   // queue_mass_ can be exactly 0.0 while sub-epsilon cohort residue sits in
   // the deque; the kernel takes nothing in that state, so skipping is
@@ -474,7 +406,7 @@ void Engine::run_operator(std::size_t i, double t, double dt, bool suspended,
   // producer records (lag grows) but consumers fetch nothing.
   const double available =
       spec.kind == OperatorKind::kSource
-          ? (faults_.ingest_stalled() ? 0.0 : kafka_->lag())
+          ? (faults_->ingest_stalled() ? 0.0 : kafka_->lag())
           : queue_mass_[i];
 
   const std::vector<std::size_t>& down = topo_.downstream(i);
@@ -508,7 +440,7 @@ void Engine::run_operator(std::size_t i, double t, double dt, bool suspended,
                              "' references unknown service '" +
                              *spec.external_service + "'");
     }
-    if (faults_.service_out(*spec.external_service)) {
+    if (faults_->service_out(*spec.external_service)) {
       processed = 0.0;  // every per-record call times out
     } else {
       const double want = processed * spec.external_calls_per_record;
@@ -611,7 +543,7 @@ void Engine::tick() {
 
   // One cursor advance services every fault query this tick makes, and its
   // delta tells the epoch caches exactly which machines changed.
-  const FaultTimeline::Delta& delta = faults_.advance_to(t);
+  const FaultTimeline::Delta& delta = faults_->advance_to(t);
 
   kafka_->produce(t, dt);
   for (auto& [_, svc] : services_) svc.tick(dt);
@@ -619,7 +551,7 @@ void Engine::tick() {
   const bool suspended = t < suspended_until_;
 
   refresh_epoch_caches(delta);
-  network_.begin_tick(dt, faults_.active_partitions());
+  network_.begin_tick(dt, faults_->active_partitions());
 
   double tick_busy_core_seconds = 0.0;
   // Constant across operators within one tick (depends on configuration
@@ -758,48 +690,33 @@ double Engine::noisy(double value) {
 
 void Engine::write_metrics() {
   const double t = now_;
-  // All ids were resolved at construction/attach time: each write below is
-  // an id-indexed append — no string construction, no map lookup. An
-  // attached sink is written instead of the engine's own store.
-  runtime::MetricSink& sink =
-      external_metrics_ != nullptr ? *external_metrics_ : metrics_;
-  const MetricIdSet& ids =
-      external_metrics_ != nullptr ? external_ids_ : metric_ids_;
-  const auto put = [&](auto select, double value) {
-    sink.record(select(ids), t, value);
-  };
+  // All ids were resolved when the sink was attached: each write below is
+  // an id-indexed append — no string construction, no map lookup.
+  runtime::MetricSink& sink = *sink_;
   for (std::size_t i = 0; i < topo_.num_operators(); ++i) {
     const runtime::OperatorRates r = rates_from(i, state_[i].interval);
-    const auto op = [i](const MetricIdSet& s) -> const MetricIdSet::PerOp& {
-      return s.op[i];
-    };
-    put([&](const MetricIdSet& s) { return op(s).true_rate; },
-        noisy(r.true_rate_per_instance));
-    put([&](const MetricIdSet& s) { return op(s).observed_rate; },
-        noisy(r.observed_rate_per_instance));
-    put([&](const MetricIdSet& s) { return op(s).input_rate; },
-        noisy(r.total_input_rate));
-    put([&](const MetricIdSet& s) { return op(s).output_rate; },
-        noisy(r.total_output_rate));
-    put([&](const MetricIdSet& s) { return op(s).queue_size; },
-        r.queue_length);
+    const MetricIdSet::PerOp& id = ids_.op[i];
+    sink.record(id.true_rate, t, noisy(r.true_rate_per_instance));
+    sink.record(id.observed_rate, t, noisy(r.observed_rate_per_instance));
+    sink.record(id.input_rate, t, noisy(r.total_input_rate));
+    sink.record(id.output_rate, t, noisy(r.total_output_rate));
+    sink.record(id.queue_size, t, r.queue_length);
     state_[i].interval = {};
   }
   const double interval = t - interval_start_;
   const double tput = interval > kEps ? interval_consumed_ / interval : 0.0;
-  put([](const MetricIdSet& s) { return s.throughput; }, noisy(tput));
-  put([](const MetricIdSet& s) { return s.latency_mean; },
-      noisy(interval_proc_latency_.mean()));
-  put([](const MetricIdSet& s) { return s.event_latency_mean; },
-      noisy(interval_event_latency_.mean()));
-  put([](const MetricIdSet& s) { return s.kafka_lag; }, kafka_->lag());
-  put([](const MetricIdSet& s) { return s.input_rate; }, kafka_->rate_at(t));
-  put([](const MetricIdSet& s) { return s.busy_cores; },
-      interval > kEps ? interval_busy_core_seconds_ / interval : 0.0);
+  sink.record(ids_.throughput, t, noisy(tput));
+  sink.record(ids_.latency_mean, t, noisy(interval_proc_latency_.mean()));
+  sink.record(ids_.event_latency_mean, t,
+              noisy(interval_event_latency_.mean()));
+  sink.record(ids_.kafka_lag, t, kafka_->lag());
+  sink.record(ids_.input_rate, t, kafka_->rate_at(t));
+  sink.record(ids_.busy_cores, t,
+              interval > kEps ? interval_busy_core_seconds_ / interval : 0.0);
   int total_parallelism = 0;
   for (int k : parallelism_) total_parallelism += k;
-  put([](const MetricIdSet& s) { return s.parallelism_total; },
-      total_parallelism);
+  sink.record(ids_.parallelism_total, t,
+              static_cast<double>(total_parallelism));
   interval_busy_core_seconds_ = 0.0;
   interval_consumed_ = 0.0;
   interval_start_ = t;

@@ -39,7 +39,6 @@
 #include <string>
 #include <vector>
 
-#include "exec/exec.hpp"
 #include "runtime/job_metrics.hpp"
 #include "runtime/metrics.hpp"
 #include "streamsim/cluster.hpp"
@@ -117,13 +116,6 @@ struct EngineParams {
   /// fractions cannot force a whole-cluster refold every tick; this is an
   /// explicit approximation and diverges from kTickDriven.
   double load_epsilon = 0.0;
-  /// Threads used to shard epoch cache refreshes over the exec ThreadPool
-  /// (index-addressed, bit-identical at any count). 1 = serial (default:
-  /// engines usually run inside Plan-stage parallel trials, where nested
-  /// regions are forbidden); 0 resolves AUTRA_THREADS/hardware. The engine
-  /// falls back to serial automatically when constructed small or called
-  /// from inside a parallel region.
-  int threads = 1;
 };
 
 /// Aggregated per-operator counters since the last reset_counters().
@@ -146,10 +138,15 @@ struct EngineEpochStats {
 
 class Engine {
  public:
-  /// Takes ownership of the Kafka log. The topology must validate; the
-  /// parallelism must be feasible on the cluster. Throws otherwise.
+  /// Takes ownership of the Kafka log and of `faults`, a predecessor's
+  /// fault timeline (a job restart keeps its pending faults the way it
+  /// keeps its lag); null starts an empty one. The topology must validate;
+  /// the parallelism must be feasible on the cluster; a carried timeline
+  /// must be sized for the cluster's machines. Throws
+  /// std::invalid_argument otherwise.
   Engine(Topology topology, Cluster cluster, Parallelism parallelism,
-         std::unique_ptr<KafkaLog> kafka, EngineParams params = {});
+         std::unique_ptr<KafkaLog> kafka, EngineParams params = {},
+         std::unique_ptr<FaultTimeline> faults = nullptr);
 
   // The NetworkModel (and the external metric sink) hold pointers into the
   // engine, so its address must be stable — engines live behind unique_ptr.
@@ -162,45 +159,54 @@ class Engine {
   /// Must be called before the first tick; throws std::logic_error after.
   void add_external_service(ExternalService service);
 
-  /// Failure injection: machine `machine` runs at `speed_factor` (< 1)
-  /// during [from_sec, until_sec) — a co-tenant burst, thermal throttling,
-  /// or a failing disk stalling the task manager. The degraded speed also
-  /// feeds the InterferenceModel (fewer effective cycles -> more
-  /// contention). Throws std::invalid_argument on bad arguments.
+  // Failure injection. Each call adds one event to the fault timeline,
+  // which validates it (std::invalid_argument on bad arguments).
+
+  /// Machine `machine` runs at `speed_factor` (< 1) during [from_sec,
+  /// until_sec) — a co-tenant burst, thermal throttling, or a failing disk
+  /// stalling the task manager. The degraded speed also feeds the
+  /// InterferenceModel (fewer effective cycles -> more contention).
   void inject_slowdown(std::size_t machine, double speed_factor,
-                       double from_sec, double until_sec);
+                       double from_sec, double until_sec) {
+    faults_->add_slowdown(machine, speed_factor, from_sec, until_sec);
+  }
 
-  /// Failure injection: machine `machine` is lost during [from_sec,
-  /// until_sec) — its operator instances process nothing. The engine keeps
-  /// the surviving instances running; forcing the framework-style restart
-  /// (detection delay + downtime) is ScalingSession's job. Throws
-  /// std::invalid_argument on bad arguments.
+  /// Machine `machine` is lost during [from_sec, until_sec) — its operator
+  /// instances process nothing. The engine keeps the surviving instances
+  /// running; forcing the framework-style restart (detection delay +
+  /// downtime) is ScalingSession's job.
   void inject_machine_down(std::size_t machine, double from_sec,
-                           double until_sec);
+                           double until_sec) {
+    faults_->add_machine_down(machine, from_sec, until_sec);
+  }
 
-  /// Failure injection: sources consume nothing from Kafka during
-  /// [from_sec, until_sec) while producers keep appending — consumer lag
-  /// builds, then catches up.
-  void inject_ingest_stall(double from_sec, double until_sec);
+  /// Sources consume nothing from Kafka during [from_sec, until_sec) while
+  /// producers keep appending — consumer lag builds, then catches up.
+  void inject_ingest_stall(double from_sec, double until_sec) {
+    faults_->add_ingest_stall(from_sec, until_sec);
+  }
 
-  /// Failure injection: external service `service` grants no calls during
-  /// [from_sec, until_sec). Unknown names are accepted and unobservable
-  /// (an outage of a service the job never calls).
+  /// External service `service` grants no calls during [from_sec,
+  /// until_sec). Unknown names are accepted and unobservable (an outage of
+  /// a service the job never calls).
   void inject_service_outage(const std::string& service, double from_sec,
-                             double until_sec);
+                             double until_sec) {
+    faults_->add_service_outage(service, from_sec, until_sec);
+  }
 
-  /// Failure injection: the machines in `island` are network-partitioned
-  /// from the rest of the cluster during [from_sec, until_sec). Operator
-  /// edges whose endpoint instances do not all live on one side stop
-  /// transferring (an all-to-all shuffle with a cut channel blocks the
-  /// whole exchange): upstream queues back up and backpressure propagates,
-  /// while records already queued downstream keep processing. The cut
-  /// masks live in the NetworkModel — a partition is a zero-capacity link,
-  /// the degenerate case of the rack/uplink bandwidth mechanism. Throws
-  /// std::invalid_argument on bad machines, duplicates, or an empty
-  /// island.
+  /// The machines in `island` are network-partitioned from the rest of the
+  /// cluster during [from_sec, until_sec). Operator edges whose endpoint
+  /// instances do not all live on one side stop transferring (an
+  /// all-to-all shuffle with a cut channel blocks the whole exchange):
+  /// upstream queues back up and backpressure propagates, while records
+  /// already queued downstream keep processing. The cut masks live in the
+  /// NetworkModel — a partition is a zero-capacity link, the degenerate
+  /// case of the rack/uplink bandwidth mechanism.
   void inject_network_partition(const std::vector<std::size_t>& island,
-                                double from_sec, double until_sec);
+                                double from_sec, double until_sec) {
+    faults_->add_partition(island, from_sec, until_sec);
+    cut_partition(island);
+  }
 
   /// Advances the simulation by one tick.
   void tick();
@@ -233,9 +239,8 @@ class Engine {
   /// Metric sink written instead of the internal store, which receives
   /// no gauges while a sink is attached; used by ScalingSession to keep one
   /// continuous time series across restarts. The sink must outlive the
-  /// engine; pass nullptr to detach and write the internal store again.
-  /// Series ids are resolved once here, so the per-tick write path stays
-  /// string-free.
+  /// engine; pass nullptr to re-attach the internal store. Series ids are
+  /// resolved once here, so the per-tick write path stays string-free.
   void set_external_metrics(runtime::MetricSink* sink);
 
   /// Busy-core equivalents co-tenant jobs place on each machine
@@ -261,6 +266,12 @@ class Engine {
   /// the accumulated lag. The engine must not be ticked afterwards.
   [[nodiscard]] std::unique_ptr<KafkaLog> release_kafka() noexcept {
     return std::move(kafka_);
+  }
+  /// Releases the fault timeline, every injected event and the cursor at
+  /// this engine's clock, for the same successor. The engine must not be
+  /// ticked or injected into afterwards.
+  [[nodiscard]] std::unique_ptr<FaultTimeline> release_faults() noexcept {
+    return std::move(faults_);
   }
 
   /// Rates over the window since the last reset_counters() call.
@@ -333,8 +344,8 @@ class Engine {
 
   /// Static placement of one operator: which machines host how many of its
   /// instances (machine-ascending), plus the chunked partial sums its
-  /// cached capacity folds from. Chunks are fixed-size so the serial and
-  /// sharded refresh paths evaluate the identical expression.
+  /// cached capacity folds from. Chunks are fixed-size, so a machine
+  /// change recomputes only the chunks that hold it.
   struct OpPlacement {
     std::vector<std::size_t> machine;  ///< Machines hosting >= 1 instance.
     std::vector<double> count;         ///< Instances on machine[e].
@@ -348,6 +359,9 @@ class Engine {
   /// placement) and builds the network model. Called from the init list;
   /// only members declared above network_ may be touched.
   [[nodiscard]] NetworkModel make_network() const;
+  /// Registers the network cut of a partition island (already validated by
+  /// the fault timeline).
+  void cut_partition(const std::vector<std::size_t>& island);
   /// The latency floor from configuration and registered services; cached
   /// by the constructor and add_external_service (nothing else moves it).
   [[nodiscard]] double compute_latency_floor_sec() const;
@@ -386,9 +400,8 @@ class Engine {
   /// limits through the network, cohort movement, busy accounting.
   void run_operator(std::size_t i, double t, double dt, bool suspended,
                     double floor, double& tick_busy_core_seconds);
-  [[nodiscard]] bool use_parallel_refresh() const;
 
-  /// Every gauge the engine emits, pre-resolved against one sink at
+  /// Every gauge the engine emits, pre-resolved against the sink at
   /// attach time — the per-tick write path performs no string work.
   struct MetricIdSet {
     struct PerOp {
@@ -399,7 +412,6 @@ class Engine {
     runtime::MetricId throughput, latency_mean, event_latency_mean,
         kafka_lag, input_rate, busy_cores, parallelism_total;
   };
-  [[nodiscard]] MetricIdSet resolve_metric_ids(runtime::MetricSink& sink) const;
 
   Topology topo_;
   Cluster cluster_;
@@ -408,12 +420,11 @@ class Engine {
   EngineParams params_;
   InterferenceModel interference_;
   std::map<std::string, ExternalService> services_;
-  /// Sorted-window cursors over all injected fault events; advanced once
+  /// Sorted-window cursor over all injected fault events; advanced once
   /// per tick so the per-machine queries in the refresh path are O(1).
-  FaultTimeline faults_;
+  std::unique_ptr<FaultTimeline> faults_;
   /// Flow-level rack/uplink network; owns the partition cut masks.
   NetworkModel network_;
-  exec::ExecContext exec_;
 
   std::vector<std::size_t> topo_order_;
   std::vector<OperatorState> state_;
@@ -437,8 +448,6 @@ class Engine {
   std::vector<OpPlacement> placement_;
   /// machine -> (operator, instance count) pairs, operator-ascending.
   std::vector<std::vector<std::pair<std::size_t, double>>> machine_ops_;
-  /// All (op, chunk) pairs, flattened for the sharded full refresh.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> all_chunks_;
   std::vector<std::size_t> dirty_ops_;  ///< Scratch for partial refresh.
   std::size_t hot_machine_ = 0;         ///< Placement of instance 0.
   /// run_operator's cohort scratch, reused so a tick does not allocate.
@@ -451,9 +460,8 @@ class Engine {
   EngineEpochStats epoch_stats_;
 
   runtime::MetricStore metrics_;
-  MetricIdSet metric_ids_;
-  runtime::MetricSink* external_metrics_ = nullptr;
-  MetricIdSet external_ids_;
+  runtime::MetricSink* sink_ = &metrics_;  ///< Where gauges are written.
+  MetricIdSet ids_;                        ///< Resolved against sink_.
   MassWeightedMean proc_latency_;
   /// Engaged only with EngineParams::latency_percentiles (DESIGN.md §11).
   std::optional<LatencyStats> proc_distribution_;

@@ -2,28 +2,27 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <utility>
 
 namespace autra::sim {
 
 namespace {
 
-/// Stable sort of event indices by window start.
-template <typename Event>
-std::vector<std::size_t> order_by_from(const std::vector<Event>& events) {
-  std::vector<std::size_t> order(events.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return events[a].from < events[b].from;
-                   });
-  return order;
-}
-
 void check_window(double from, double until, const char* what) {
-  if (until <= from) {
+  if (!(until > from)) {  // NaN fails too
     throw std::invalid_argument(std::string("FaultTimeline: ") + what +
                                 ": until must be > from");
+  }
+}
+
+/// Inserts `value` into (sign +1) or erases it from (sign -1) the sorted
+/// vector `set`.
+void toggle_sorted(std::vector<std::size_t>& set, std::size_t value,
+                   int sign) {
+  const auto it = std::lower_bound(set.begin(), set.end(), value);
+  if (sign > 0) {
+    set.insert(it, value);
+  } else {
+    set.erase(it);
   }
 }
 
@@ -34,14 +33,19 @@ FaultTimeline::FaultTimeline(std::size_t num_machines)
       down_count_(num_machines, 0),
       slow_active_(num_machines) {}
 
+void FaultTimeline::add(Event event) {
+  events_.push_back(std::move(event));
+  dirty_ = true;
+}
+
 void FaultTimeline::add_slowdown(std::size_t machine, double factor,
                                  double from, double until) {
   check_window(from, until, "slowdown");
-  if (machine >= num_machines_ || factor <= 0.0) {
+  if (machine >= num_machines_ || !(factor > 0.0)) {
     throw std::invalid_argument("FaultTimeline: bad slowdown event");
   }
-  slow_.push_back({machine, factor, from, until});
-  dirty_ = true;
+  add({.kind = Kind::kSlowdown, .from = from, .until = until,
+       .machine = machine, .factor = factor});
 }
 
 void FaultTimeline::add_machine_down(std::size_t machine, double from,
@@ -50,14 +54,13 @@ void FaultTimeline::add_machine_down(std::size_t machine, double from,
   if (machine >= num_machines_) {
     throw std::invalid_argument("FaultTimeline: bad machine index");
   }
-  down_.push_back({machine, from, until});
-  dirty_ = true;
+  add({.kind = Kind::kMachineDown, .from = from, .until = until,
+       .machine = machine});
 }
 
 void FaultTimeline::add_ingest_stall(double from, double until) {
   check_window(from, until, "ingest-stall");
-  stall_.push_back({from, until});
-  dirty_ = true;
+  add({.kind = Kind::kIngestStall, .from = from, .until = until});
 }
 
 void FaultTimeline::add_service_outage(std::string service, double from,
@@ -66,29 +69,46 @@ void FaultTimeline::add_service_outage(std::string service, double from,
   if (service.empty()) {
     throw std::invalid_argument("FaultTimeline: empty service name");
   }
-  outage_.push_back({std::move(service), from, until});
-  dirty_ = true;
+  add({.kind = Kind::kServiceOutage, .from = from, .until = until,
+       .service = std::move(service)});
 }
 
-std::size_t FaultTimeline::add_partition(double from, double until) {
+std::size_t FaultTimeline::add_partition(std::vector<std::size_t> island,
+                                         double from, double until) {
   check_window(from, until, "partition");
-  part_.push_back({from, until});
-  dirty_ = true;
-  return part_.size() - 1;
+  if (island.empty()) {
+    throw std::invalid_argument("FaultTimeline: empty partition island");
+  }
+  std::vector<char> on_island(num_machines_, 0);
+  for (const std::size_t m : island) {
+    if (m >= num_machines_ || on_island[m]) {
+      throw std::invalid_argument(
+          "FaultTimeline: bad or duplicate partition machine");
+    }
+    on_island[m] = 1;
+  }
+  // An island holding every machine leaves no mainland: nothing is cut and
+  // the "partition" silently becomes a no-op, which is always a schedule
+  // bug rather than an intent.
+  if (island.size() == num_machines_) {
+    throw std::invalid_argument(
+        "FaultTimeline: island covers the whole cluster; a partition must "
+        "leave a mainland");
+  }
+  add({.kind = Kind::kPartition, .from = from, .until = until,
+       .island = std::move(island), .partition = num_partitions_});
+  return num_partitions_++;
 }
 
 void FaultTimeline::rebuild() {
-  slow_order_ = order_by_from(slow_);
-  down_order_ = order_by_from(down_);
-  stall_order_ = order_by_from(stall_);
-  outage_order_ = order_by_from(outage_);
-  part_order_ = order_by_from(part_);
-  slow_next_ = down_next_ = stall_next_ = outage_next_ = part_next_ = 0;
-  slow_expiry_ = {};
-  down_expiry_ = {};
-  stall_expiry_ = {};
-  outage_expiry_ = {};
-  part_expiry_ = {};
+  order_.resize(events_.size());
+  for (std::size_t i = 0; i < order_.size(); ++i) order_[i] = i;
+  std::stable_sort(order_.begin(), order_.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return events_[a].from < events_[b].from;
+                   });
+  next_ = 0;
+  expiry_ = {};
   std::fill(down_count_.begin(), down_count_.end(), 0);
   for (auto& active : slow_active_) active.clear();
   stall_count_ = 0;
@@ -96,6 +116,29 @@ void FaultTimeline::rebuild() {
   part_active_.clear();
   dirty_ = false;
   started_ = false;
+}
+
+void FaultTimeline::apply(std::size_t idx, int sign) {
+  const Event& e = events_[idx];
+  switch (e.kind) {
+    case Kind::kSlowdown:
+      toggle_sorted(slow_active_[e.machine], idx, sign);
+      delta_.machines.push_back(e.machine);
+      break;
+    case Kind::kMachineDown:
+      down_count_[e.machine] += sign;
+      delta_.machines.push_back(e.machine);
+      break;
+    case Kind::kIngestStall:
+      stall_count_ += sign;
+      break;
+    case Kind::kServiceOutage:
+      outage_count_[e.service] += sign;
+      break;
+    case Kind::kPartition:
+      toggle_sorted(part_active_, e.partition, sign);
+      break;
+  }
 }
 
 const FaultTimeline::Delta& FaultTimeline::advance_to(double t) {
@@ -113,68 +156,14 @@ const FaultTimeline::Delta& FaultTimeline::advance_to(double t) {
   // (net zero), which keeps the two phases order-independent. Machine
   // deltas are still reported for such events — a spurious entry costs the
   // caller one redundant refresh, a missed one would corrupt its caches.
-  while (slow_next_ < slow_order_.size() &&
-         slow_[slow_order_[slow_next_]].from <= t) {
-    const std::size_t idx = slow_order_[slow_next_++];
-    std::vector<std::size_t>& active = slow_active_[slow_[idx].machine];
-    active.insert(std::lower_bound(active.begin(), active.end(), idx), idx);
-    slow_expiry_.emplace(slow_[idx].until, idx);
-    delta_.machines.push_back(slow_[idx].machine);
+  while (next_ < order_.size() && events_[order_[next_]].from <= t) {
+    const std::size_t idx = order_[next_++];
+    apply(idx, +1);
+    expiry_.emplace(events_[idx].until, idx);
   }
-  while (!slow_expiry_.empty() && slow_expiry_.top().first <= t) {
-    const std::size_t idx = slow_expiry_.top().second;
-    slow_expiry_.pop();
-    std::vector<std::size_t>& active = slow_active_[slow_[idx].machine];
-    active.erase(std::lower_bound(active.begin(), active.end(), idx));
-    delta_.machines.push_back(slow_[idx].machine);
-  }
-
-  while (down_next_ < down_order_.size() &&
-         down_[down_order_[down_next_]].from <= t) {
-    const std::size_t idx = down_order_[down_next_++];
-    ++down_count_[down_[idx].machine];
-    down_expiry_.emplace(down_[idx].until, idx);
-    delta_.machines.push_back(down_[idx].machine);
-  }
-  while (!down_expiry_.empty() && down_expiry_.top().first <= t) {
-    delta_.machines.push_back(down_[down_expiry_.top().second].machine);
-    --down_count_[down_[down_expiry_.top().second].machine];
-    down_expiry_.pop();
-  }
-
-  while (stall_next_ < stall_order_.size() &&
-         stall_[stall_order_[stall_next_]].from <= t) {
-    stall_expiry_.emplace(stall_[stall_order_[stall_next_++]].until, 0);
-    ++stall_count_;
-  }
-  while (!stall_expiry_.empty() && stall_expiry_.top().first <= t) {
-    --stall_count_;
-    stall_expiry_.pop();
-  }
-
-  while (outage_next_ < outage_order_.size() &&
-         outage_[outage_order_[outage_next_]].from <= t) {
-    const std::size_t idx = outage_order_[outage_next_++];
-    ++outage_count_[outage_[idx].service];
-    outage_expiry_.emplace(outage_[idx].until, idx);
-  }
-  while (!outage_expiry_.empty() && outage_expiry_.top().first <= t) {
-    --outage_count_[outage_[outage_expiry_.top().second].service];
-    outage_expiry_.pop();
-  }
-
-  while (part_next_ < part_order_.size() &&
-         part_[part_order_[part_next_]].from <= t) {
-    const std::size_t idx = part_order_[part_next_++];
-    part_active_.insert(
-        std::lower_bound(part_active_.begin(), part_active_.end(), idx), idx);
-    part_expiry_.emplace(part_[idx].until, idx);
-  }
-  while (!part_expiry_.empty() && part_expiry_.top().first <= t) {
-    const std::size_t idx = part_expiry_.top().second;
-    part_expiry_.pop();
-    part_active_.erase(
-        std::lower_bound(part_active_.begin(), part_active_.end(), idx));
+  while (!expiry_.empty() && expiry_.top().first <= t) {
+    apply(expiry_.top().second, -1);
+    expiry_.pop();
   }
   // A rebuild already tells the caller to refresh everything; the machine
   // entries the catch-up loops above pushed would only duplicate that.
@@ -184,56 +173,13 @@ const FaultTimeline::Delta& FaultTimeline::advance_to(double t) {
 
 double FaultTimeline::slowdown_factor(std::size_t machine) const noexcept {
   double factor = 1.0;
-  for (std::size_t idx : slow_active_[machine]) factor *= slow_[idx].factor;
+  for (std::size_t idx : slow_active_[machine]) factor *= events_[idx].factor;
   return factor;
 }
 
 bool FaultTimeline::service_out(const std::string& service) const noexcept {
   const auto it = outage_count_.find(service);
   return it != outage_count_.end() && it->second > 0;
-}
-
-bool FaultTimeline::machine_down_linear(std::size_t machine,
-                                        double t) const noexcept {
-  for (const DownEvent& e : down_) {
-    if (e.machine == machine && t >= e.from && t < e.until) return true;
-  }
-  return false;
-}
-
-double FaultTimeline::slowdown_factor_linear(std::size_t machine,
-                                             double t) const noexcept {
-  double factor = 1.0;
-  for (const SlowEvent& e : slow_) {
-    if (e.machine == machine && t >= e.from && t < e.until) {
-      factor *= e.factor;
-    }
-  }
-  return factor;
-}
-
-bool FaultTimeline::ingest_stalled_linear(double t) const noexcept {
-  for (const Window& w : stall_) {
-    if (t >= w.from && t < w.until) return true;
-  }
-  return false;
-}
-
-bool FaultTimeline::service_out_linear(const std::string& service,
-                                       double t) const noexcept {
-  for (const OutageEvent& e : outage_) {
-    if (t >= e.from && t < e.until && e.service == service) return true;
-  }
-  return false;
-}
-
-std::vector<std::size_t> FaultTimeline::active_partitions_linear(
-    double t) const {
-  std::vector<std::size_t> active;
-  for (std::size_t i = 0; i < part_.size(); ++i) {
-    if (t >= part_[i].from && t < part_[i].until) active.push_back(i);
-  }
-  return active;
 }
 
 }  // namespace autra::sim

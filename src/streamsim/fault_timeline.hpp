@@ -1,39 +1,58 @@
-// Sorted-window fault cursors.
+// Sorted-window fault cursor.
 //
 // The engine used to answer "is machine m down at t?" and "how slow is
 // machine m at t?" with a linear scan over every injected event, per
 // instance, per tick. That is fine for the three canned schedules but
 // quadratic-ish once chaos-mode generation produces thousands of events
-// per run. FaultTimeline keeps each event class sorted by start time and
-// advances a cursor as simulation time moves forward: events are activated
-// when their window opens (cursor walk over the sorted order) and retired
-// through a min-heap keyed on window end, so a tick pays O(events that
-// changed state this tick) instead of O(all events), and every query
-// against the *current* time is an array/map lookup.
+// per run. FaultTimeline keeps one list of kind-tagged events, sorted by
+// start time, and advances one cursor as simulation time moves forward:
+// events are activated when their window opens (cursor walk over the
+// sorted order) and retired through one min-heap keyed on window end, so a
+// tick pays O(events that changed state this tick) instead of O(all
+// events), and every query against the *current* time is an array/map
+// lookup.
 //
-// Exactness contract: the cursor answers are bit-identical to the linear
-// scans they replaced. In particular the slowdown factor is the product of
-// the active factors *in insertion order* (the order the old scan
-// multiplied them in), so replacing the scan cannot perturb a single ulp
-// of a simulation. The linear_* methods keep the reference implementation
-// alive for the property tests that pin this equivalence.
+// Exactness contract: the cursor answers are bit-identical to a linear
+// scan over events() (the reference the property tests replay). In
+// particular the slowdown factor is the product of the active factors *in
+// insertion order*, and partition indices are dense in insertion order.
 //
-// Time may move backwards (an engine is rebuilt mid-run) and events may be
-// injected after ticking has started; both mark the index dirty and the
-// next advance_to() rebuilds cursor state from scratch — cold paths, paid
-// per rescale rather than per tick.
+// The timeline is the job's fault record: a restarted engine takes over
+// its predecessor's timeline the way it takes over the Kafka log, at the
+// predecessor's clock, so the cursor keeps moving forward. Time moving
+// backwards and events injected after ticking has started both mark the
+// index dirty, and the next advance_to() rebuilds cursor state from
+// scratch — cold paths, paid per injection rather than per tick.
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <map>
 #include <queue>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace autra::sim {
 
 class FaultTimeline {
  public:
+  enum class Kind { kSlowdown, kMachineDown, kIngestStall, kServiceOutage,
+                    kPartition };
+
+  /// One injected fault, active over [from, until). Only the fields of its
+  /// kind are meaningful.
+  struct Event {
+    Kind kind = Kind::kIngestStall;
+    double from = 0.0;
+    double until = 0.0;
+    std::size_t machine = 0;          ///< kSlowdown, kMachineDown.
+    double factor = 1.0;              ///< kSlowdown: speed multiplier.
+    std::string service;              ///< kServiceOutage.
+    std::vector<std::size_t> island;  ///< kPartition: the cut-off machines.
+    std::size_t partition = 0;        ///< kPartition: dense index.
+  };
+
   explicit FaultTimeline(std::size_t num_machines);
 
   /// Event registration. Windows are [from, until); machine indices must be
@@ -43,10 +62,12 @@ class FaultTimeline {
   void add_machine_down(std::size_t machine, double from, double until);
   void add_ingest_stall(double from, double until);
   void add_service_outage(std::string service, double from, double until);
-  /// Registers a partition *window*; what the partition cuts is the
-  /// engine's business. Returns the dense partition index (0, 1, ...)
-  /// that active_partitions() reports.
-  std::size_t add_partition(double from, double until);
+  /// Registers a partition cutting `island` off the rest of the cluster;
+  /// what that cuts is the engine's business. The island must be a
+  /// non-empty set of machines that leaves a mainland. Returns the dense
+  /// partition index (0, 1, ...) that active_partitions() reports.
+  std::size_t add_partition(std::vector<std::size_t> island, double from,
+                            double until);
 
   /// What changed during one advance_to() call — the epoch-driven engine
   /// core invalidates its capacity caches from this instead of re-querying
@@ -57,9 +78,6 @@ class FaultTimeline {
     /// Machines whose down or slowdown state flipped this advance (may
     /// contain duplicates); empty after a rebuild.
     std::vector<std::size_t> machines;
-    [[nodiscard]] bool any() const noexcept {
-      return rebuilt || !machines.empty();
-    }
   };
 
   /// Moves the cursor to time `t` and reports which machine-affecting
@@ -84,50 +102,24 @@ class FaultTimeline {
     return part_active_;
   }
 
-  // Linear-scan reference implementations — the exact pre-cursor
-  // semantics, kept for the equivalence property tests. O(events) each.
-  [[nodiscard]] bool machine_down_linear(std::size_t machine,
-                                         double t) const noexcept;
-  [[nodiscard]] double slowdown_factor_linear(std::size_t machine,
-                                              double t) const noexcept;
-  [[nodiscard]] bool ingest_stalled_linear(double t) const noexcept;
-  [[nodiscard]] bool service_out_linear(const std::string& service,
-                                        double t) const noexcept;
-  [[nodiscard]] std::vector<std::size_t> active_partitions_linear(
-      double t) const;
-
+  /// Every registered event, in insertion order.
+  [[nodiscard]] const std::vector<Event>& events() const noexcept {
+    return events_;
+  }
   [[nodiscard]] std::size_t num_machines() const noexcept {
     return num_machines_;
   }
-  [[nodiscard]] std::size_t num_events() const noexcept {
-    return slow_.size() + down_.size() + stall_.size() + outage_.size() +
-           part_.size();
-  }
 
  private:
-  struct SlowEvent {
-    std::size_t machine;
-    double factor;
-    double from, until;
-  };
-  struct DownEvent {
-    std::size_t machine;
-    double from, until;
-  };
-  struct Window {
-    double from, until;
-  };
-  struct OutageEvent {
-    std::string service;
-    double from, until;
-  };
-
   /// Min-heap of (window end, event index) — the retirement queue.
   using ExpiryHeap =
       std::priority_queue<std::pair<double, std::size_t>,
                           std::vector<std::pair<double, std::size_t>>,
                           std::greater<>>;
 
+  void add(Event event);
+  /// Opens (sign +1) or closes (sign -1) event `idx`'s window.
+  void apply(std::size_t idx, int sign);
   void rebuild();
 
   std::size_t num_machines_;
@@ -136,20 +128,13 @@ class FaultTimeline {
   double cursor_time_ = 0.0;
   bool started_ = false;  ///< advance_to() has been called at least once.
 
-  std::vector<SlowEvent> slow_;
-  std::vector<DownEvent> down_;
-  std::vector<Window> stall_;
-  std::vector<OutageEvent> outage_;
-  std::vector<Window> part_;
-
-  // Per class: indices sorted by `from` (stable), the activation cursor,
-  // and the retirement heap.
-  std::vector<std::size_t> slow_order_, down_order_, stall_order_,
-      outage_order_, part_order_;
-  std::size_t slow_next_ = 0, down_next_ = 0, stall_next_ = 0,
-              outage_next_ = 0, part_next_ = 0;
-  ExpiryHeap slow_expiry_, down_expiry_, stall_expiry_, outage_expiry_,
-      part_expiry_;
+  std::vector<Event> events_;
+  std::size_t num_partitions_ = 0;
+  /// Event indices sorted by `from` (stable), the activation cursor into
+  /// it, and the retirement heap.
+  std::vector<std::size_t> order_;
+  std::size_t next_ = 0;
+  ExpiryHeap expiry_;
 
   // Active state.
   std::vector<int> down_count_;  ///< Per machine.

@@ -18,13 +18,16 @@ double JobSpec::initial_rate() const {
 
 namespace {
 
-/// An engine for `spec` over `kafka` with the spec's external services
-/// registered; the callers own the seed arithmetic and the Kafka log.
-std::unique_ptr<Engine> build_engine(const JobSpec& spec, const Parallelism& p,
-                                     std::unique_ptr<KafkaLog> kafka,
-                                     const EngineParams& params) {
-  auto engine = std::make_unique<Engine>(spec.topology, Cluster(spec.cluster),
-                                         p, std::move(kafka), params);
+/// An engine for `spec` over `kafka` and `faults` with the spec's external
+/// services registered; the callers own the seed arithmetic, the Kafka log
+/// and the fault timeline.
+std::unique_ptr<Engine> build_engine(
+    const JobSpec& spec, const Parallelism& p, std::unique_ptr<KafkaLog> kafka,
+    const EngineParams& params,
+    std::unique_ptr<FaultTimeline> faults = nullptr) {
+  auto engine =
+      std::make_unique<Engine>(spec.topology, Cluster(spec.cluster), p,
+                               std::move(kafka), params, std::move(faults));
   for (const ExternalServiceSpec& svc : spec.services) {
     engine->add_external_service(
         ExternalService(svc.name, svc.max_calls_per_sec, svc.burst_sec,
@@ -169,41 +172,35 @@ ScalingSession::ScalingSession(JobSpec spec, Parallelism initial,
 void ScalingSession::run_for(double sec) { run_to(engine_->now() + sec); }
 
 void ScalingSession::run_to(double until_sec) {
-  const double target = until_sec;
   // Machine and rack crashes force framework-style restarts: run up to the
   // moment the crash is detected, then rebuild the engine at the current
   // parallelism with the full restart downtime. A rack crash costs ONE
   // restart for the whole group (the framework notices the correlated loss
   // as one incident). The crash window usually extends past the restart,
-  // so the successor engine (faults re-applied) still sees the machines
-  // down until they recover.
-  for (;;) {
-    bool* pending = nullptr;
-    double restart_at = 0.0;
-    for (CrashFault& f : crash_faults_) {
-      const double at = f.from + f.detect;
-      if (f.restarted || at > target) continue;
-      if (pending == nullptr || at < restart_at) {
-        pending = &f.restarted;
-        restart_at = at;
-      }
-    }
-    if (pending == nullptr) break;
-    engine_->run_until(std::max(restart_at, engine_->now()));
-    *pending = true;
+  // so the successor engine (which carries the fault timeline) still sees
+  // the machines down until they recover.
+  while (!crash_restarts_.empty() && crash_restarts_.top() <= until_sec) {
+    engine_->run_until(std::max(crash_restarts_.top(), engine_->now()));
+    crash_restarts_.pop();
     ++failure_restarts_;
     const Parallelism p = engine_->parallelism();
     rebuild_engine(p, params_.restart_downtime_sec);
   }
-  engine_->run_until(target);
+  engine_->run_until(until_sec);
 }
 
 void ScalingSession::reconfigure(const Parallelism& p,
                                  runtime::RescaleMode mode) {
   if (p == engine_->parallelism()) return;
+  // Checked before rebuild_engine hands the Kafka log and the fault
+  // timeline on: a successor that rejected p would take both with it.
+  if (p.size() != spec_.topology.num_operators() ||
+      !engine_->cluster().feasible(p)) {
+    throw std::invalid_argument("ScalingSession: infeasible parallelism");
+  }
   if (mode == runtime::RescaleMode::kHotScaleOut) {
     const Parallelism& current = engine_->parallelism();
-    for (std::size_t i = 0; i < p.size() && i < current.size(); ++i) {
+    for (std::size_t i = 0; i < p.size(); ++i) {
       if (p[i] < current[i]) {
         throw std::invalid_argument(
             "ScalingSession: hot scale-out cannot shrink an operator");
@@ -250,8 +247,8 @@ void ScalingSession::rebuild_engine(const Parallelism& p, double downtime) {
   EngineParams params = spec_.engine;
   params.start_time = t;
   params.seed += ++reconfig_salt_ * 104729;
-  auto next = build_engine(spec_, p, engine_->release_kafka(), params);
-  apply_faults_to(*next);
+  auto next = build_engine(spec_, p, engine_->release_kafka(), params,
+                           engine_->release_faults());
   next->set_external_metrics(&history_);
   // Co-tenant interference survives the rebuild too (empty vectors are
   // no-ops, so the single-tenant path is untouched).
@@ -266,26 +263,6 @@ void ScalingSession::rebuild_engine(const Parallelism& p, double downtime) {
   ++restarts_;
 }
 
-void ScalingSession::apply_faults_to(Engine& engine) const {
-  for (const CrashFault& f : crash_faults_) {
-    for (std::size_t m : f.machines) {
-      engine.inject_machine_down(m, f.from, f.until);
-    }
-  }
-  for (const SlowNodeFault& f : slow_node_faults_) {
-    engine.inject_slowdown(f.machine, f.factor, f.from, f.until);
-  }
-  for (const ServiceOutageFault& f : service_outage_faults_) {
-    engine.inject_service_outage(f.service, f.from, f.until);
-  }
-  for (const StallFault& f : stall_faults_) {
-    engine.inject_ingest_stall(f.from, f.until);
-  }
-  for (const PartitionFault& f : partition_faults_) {
-    engine.inject_network_partition(f.island, f.from, f.until);
-  }
-}
-
 void ScalingSession::host_machine_down(std::size_t machine, double from_sec,
                                        double until_sec,
                                        double detection_delay_sec) {
@@ -294,32 +271,29 @@ void ScalingSession::host_machine_down(std::size_t machine, double from_sec,
 
 void ScalingSession::host_slow_node(std::size_t machine, double speed_factor,
                                     double from_sec, double until_sec) {
-  engine_->inject_slowdown(machine, speed_factor, from_sec,
-                           until_sec);  // validates
-  slow_node_faults_.push_back({machine, speed_factor, from_sec, until_sec});
+  engine_->inject_slowdown(machine, speed_factor, from_sec, until_sec);
 }
 
 void ScalingSession::host_service_outage(const std::string& service,
                                          double from_sec, double until_sec) {
-  engine_->inject_service_outage(service, from_sec, until_sec);  // validates
-  service_outage_faults_.push_back({service, from_sec, until_sec});
+  engine_->inject_service_outage(service, from_sec, until_sec);
 }
 
 void ScalingSession::host_ingest_stall(double from_sec, double until_sec) {
-  engine_->inject_ingest_stall(from_sec, until_sec);  // validates
-  stall_faults_.push_back({from_sec, until_sec});
+  engine_->inject_ingest_stall(from_sec, until_sec);
 }
 
 void ScalingSession::host_rack_down(const std::vector<std::size_t>& machines,
                                     double from_sec, double until_sec,
                                     double detection_delay_sec) {
-  if (detection_delay_sec < 0.0) {
+  // NaN fails these checks too: the restart instant must be comparable.
+  if (!(detection_delay_sec >= 0.0)) {
     throw std::invalid_argument(
-        "ScalingSession: negative crash detection delay");
+        "ScalingSession: crash detection delay must be >= 0");
   }
   // Validate everything before touching the engine so a bad group leaves
   // no partial crash behind.
-  if (machines.empty() || until_sec <= from_sec) {
+  if (machines.empty() || !(until_sec > from_sec)) {
     throw std::invalid_argument("ScalingSession: bad crash group or window");
   }
   for (std::size_t m : machines) {
@@ -330,15 +304,13 @@ void ScalingSession::host_rack_down(const std::vector<std::size_t>& machines,
   for (std::size_t m : machines) {
     engine_->inject_machine_down(m, from_sec, until_sec);
   }
-  crash_faults_.push_back(
-      {machines, from_sec, until_sec, detection_delay_sec, false});
+  crash_restarts_.push(from_sec + detection_delay_sec);
 }
 
 void ScalingSession::host_network_partition(
     const std::vector<std::size_t>& island, double from_sec,
     double until_sec) {
-  engine_->inject_network_partition(island, from_sec, until_sec);  // validates
-  partition_faults_.push_back({island, from_sec, until_sec});
+  engine_->inject_network_partition(island, from_sec, until_sec);
 }
 
 runtime::JobMetrics ScalingSession::window_metrics() const {

@@ -15,9 +15,11 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <queue>
 #include <utility>
 #include <vector>
 
@@ -168,11 +170,12 @@ struct SessionParams {
 /// simulator's implementation of the backend-agnostic runtime interface.
 ///
 /// Also a fault::FaultHost: engine-level fault events registered through
-/// the host_* methods survive every engine rebuild (reconfigurations and
-/// failure restarts re-apply them to the successor engine), and a machine
-/// crash forces a framework-style restart `detection_delay_sec` after the
-/// crash instant — full restart downtime, Kafka lag accumulating
-/// throughout, exactly the cost model of the Execute stage.
+/// the host_* methods go into the engine's fault timeline, which every
+/// rebuild (reconfigurations and failure restarts) hands to the successor
+/// engine along with the Kafka log, and a machine crash forces a
+/// framework-style restart `detection_delay_sec` after the crash instant —
+/// full restart downtime, Kafka lag accumulating throughout, exactly the
+/// cost model of the Execute stage.
 class ScalingSession final : public runtime::StreamingBackend,
                              public fault::FaultHost {
  public:
@@ -234,7 +237,7 @@ class ScalingSession final : public runtime::StreamingBackend,
   /// unconstrained.
   [[nodiscard]] std::vector<double> uplink_consumed_records() const;
 
-  // fault::FaultHost — events are kept on the session so they survive
+  // fault::FaultHost — events go into the fault timeline, which survives
   // engine rebuilds. All may be called at any time; events entirely in the
   // past are retained but unobservable.
   void host_machine_down(std::size_t machine, double from_sec,
@@ -252,40 +255,8 @@ class ScalingSession final : public runtime::StreamingBackend,
                               double from_sec, double until_sec) override;
 
  private:
-  /// A machine or rack crash; a single machine is a group of one.
-  struct CrashFault {
-    std::vector<std::size_t> machines;
-    double from = 0.0;
-    double until = 0.0;
-    double detect = 0.0;     ///< Detection delay after `from`, seconds.
-    bool restarted = false;  ///< One forced restart for the whole group.
-  };
-  struct SlowNodeFault {
-    std::size_t machine = 0;
-    double factor = 1.0;
-    double from = 0.0;
-    double until = 0.0;
-  };
-  struct ServiceOutageFault {
-    std::string service;
-    double from = 0.0;
-    double until = 0.0;
-  };
-  struct StallFault {
-    double from = 0.0;
-    double until = 0.0;
-  };
-  struct PartitionFault {
-    std::vector<std::size_t> island;
-    double from = 0.0;
-    double until = 0.0;
-  };
-
-  /// Registers every stored fault event with a (possibly fresh) engine.
-  void apply_faults_to(Engine& engine) const;
-
   /// Replaces the engine with a successor at the same wall clock: Kafka log
-  /// carried over, seed re-salted, faults re-applied, `downtime` seconds of
+  /// and fault timeline carried over, seed re-salted, `downtime` seconds of
   /// suspension. Shared by reconfigure() and forced failure restarts.
   void rebuild_engine(const Parallelism& p, double downtime);
 
@@ -301,11 +272,11 @@ class ScalingSession final : public runtime::StreamingBackend,
   std::vector<double> external_uplink_load_;
   /// Uplink records consumed by engines already torn down.
   std::vector<double> uplink_consumed_base_;
-  std::vector<CrashFault> crash_faults_;
-  std::vector<SlowNodeFault> slow_node_faults_;
-  std::vector<ServiceOutageFault> service_outage_faults_;
-  std::vector<StallFault> stall_faults_;
-  std::vector<PartitionFault> partition_faults_;
+  /// Pending forced restarts, one per crash group (crash instant plus
+  /// detection delay), earliest first. The crashed machines themselves
+  /// live in the engine's fault timeline.
+  std::priority_queue<double, std::vector<double>, std::greater<>>
+      crash_restarts_;
 };
 
 /// The simulator's Plan-stage trial provider: every evaluator_at() call

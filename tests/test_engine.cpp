@@ -3,6 +3,7 @@
 #include "streamsim/engine.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
@@ -68,6 +69,13 @@ TEST(Engine, ConstructorValidation) {
                       std::make_unique<KafkaLog>(
                           std::make_shared<ConstantRate>(10.0)),
                       bad),
+               std::invalid_argument);
+  // A carried fault timeline must be sized for this cluster (paper_cluster
+  // has 3 machines).
+  EXPECT_THROW(Engine(simple_chain(), Cluster(paper_cluster()), {1, 1, 1},
+                      std::make_unique<KafkaLog>(
+                          std::make_shared<ConstantRate>(10.0)),
+                      quiet_params(), std::make_unique<FaultTimeline>(4)),
                std::invalid_argument);
 }
 
@@ -255,6 +263,15 @@ TEST(Engine, ExternalMetricsMirrored) {
   e->run_until(3.0);
   EXPECT_TRUE(external.has_series(runtime::metric_names::kThroughput));
   EXPECT_TRUE(e->metrics().series_names().empty());
+  // Detaching re-attaches the engine's own store.
+  runtime::MetricStore detached_sink;
+  auto detached = make_engine_with(simple_chain(), {1, 1, 1}, 10000.0, params);
+  detached->set_external_metrics(&detached_sink);
+  detached->set_external_metrics(nullptr);
+  detached->run_until(3.0);
+  EXPECT_TRUE(detached_sink.series_names().empty());
+  EXPECT_TRUE(
+      detached->metrics().has_series(runtime::metric_names::kThroughput));
 
   auto own = make_engine_with(simple_chain(), {1, 1, 1}, 10000.0, params);
   own->run_until(3.0);
@@ -416,7 +433,58 @@ TEST(Engine, BusyCoresBoundedByClusterAndPositiveUnderLoad) {
   EXPECT_LT(e->busy_cores(), 60.0);
 }
 
-// --- FaultTimeline: sorted-window cursors == linear scans ------------------
+// --- FaultTimeline: sorted-window cursor == linear scan --------------------
+
+// The linear scans over events() the cursor replaced: the reference
+// semantics the cursor must reproduce bit for bit.
+bool open_at(const FaultTimeline::Event& e, FaultTimeline::Kind kind,
+             double t) {
+  return e.kind == kind && t >= e.from && t < e.until;
+}
+
+bool machine_down_linear(const FaultTimeline& tl, std::size_t machine,
+                         double t) {
+  return std::ranges::any_of(tl.events(), [&](const auto& e) {
+    return open_at(e, FaultTimeline::Kind::kMachineDown, t) &&
+           e.machine == machine;
+  });
+}
+
+double slowdown_factor_linear(const FaultTimeline& tl, std::size_t machine,
+                              double t) {
+  double factor = 1.0;
+  for (const FaultTimeline::Event& e : tl.events()) {
+    if (open_at(e, FaultTimeline::Kind::kSlowdown, t) && e.machine == machine) {
+      factor *= e.factor;
+    }
+  }
+  return factor;
+}
+
+bool ingest_stalled_linear(const FaultTimeline& tl, double t) {
+  return std::ranges::any_of(tl.events(), [&](const auto& e) {
+    return open_at(e, FaultTimeline::Kind::kIngestStall, t);
+  });
+}
+
+bool service_out_linear(const FaultTimeline& tl, const std::string& service,
+                        double t) {
+  return std::ranges::any_of(tl.events(), [&](const auto& e) {
+    return open_at(e, FaultTimeline::Kind::kServiceOutage, t) &&
+           e.service == service;
+  });
+}
+
+std::vector<std::size_t> active_partitions_linear(const FaultTimeline& tl,
+                                                  double t) {
+  std::vector<std::size_t> active;
+  for (const FaultTimeline::Event& e : tl.events()) {
+    if (open_at(e, FaultTimeline::Kind::kPartition, t)) {
+      active.push_back(e.partition);
+    }
+  }
+  return active;
+}
 
 TEST(FaultTimeline, CursorMatchesLinearScanOnRandomizedEvents) {
   // ~1k events across every class, then a forward walk with randomized
@@ -434,6 +502,7 @@ TEST(FaultTimeline, CursorMatchesLinearScanOnRandomizedEvents) {
   std::uniform_int_distribution<std::size_t> which(0, machines - 1);
   std::uniform_int_distribution<int> kind(0, 4);
   std::uniform_int_distribution<std::size_t> svc(0, services.size() - 1);
+  std::size_t partitions = 0;
   for (int i = 0; i < 1000; ++i) {
     const double from = when(rng);
     const double until = from + span(rng);
@@ -442,23 +511,27 @@ TEST(FaultTimeline, CursorMatchesLinearScanOnRandomizedEvents) {
       case 1: tl.add_machine_down(which(rng), from, until); break;
       case 2: tl.add_ingest_stall(from, until); break;
       case 3: tl.add_service_outage(services[svc(rng)], from, until); break;
-      default: tl.add_partition(from, until); break;
+      default:
+        // Partition indices are dense in insertion order.
+        EXPECT_EQ(tl.add_partition({which(rng)}, from, until), partitions++);
+        break;
     }
   }
-  ASSERT_EQ(tl.num_events(), 1000u);
+  ASSERT_EQ(tl.events().size(), 1000u);
+  ASSERT_GT(partitions, 0u);
 
   const auto check_all = [&](double t) {
     for (std::size_t m = 0; m < machines; ++m) {
-      EXPECT_EQ(tl.machine_down(m), tl.machine_down_linear(m, t)) << t;
+      EXPECT_EQ(tl.machine_down(m), machine_down_linear(tl, m, t)) << t;
       // Exact equality: the cursor multiplies the same factors in the
       // same order the linear scan does.
-      EXPECT_EQ(tl.slowdown_factor(m), tl.slowdown_factor_linear(m, t)) << t;
+      EXPECT_EQ(tl.slowdown_factor(m), slowdown_factor_linear(tl, m, t)) << t;
     }
-    EXPECT_EQ(tl.ingest_stalled(), tl.ingest_stalled_linear(t)) << t;
+    EXPECT_EQ(tl.ingest_stalled(), ingest_stalled_linear(tl, t)) << t;
     for (const std::string& s : services) {
-      EXPECT_EQ(tl.service_out(s), tl.service_out_linear(s, t)) << t;
+      EXPECT_EQ(tl.service_out(s), service_out_linear(tl, s, t)) << t;
     }
-    EXPECT_EQ(tl.active_partitions(), tl.active_partitions_linear(t)) << t;
+    EXPECT_EQ(tl.active_partitions(), active_partitions_linear(tl, t)) << t;
   };
 
   std::uniform_real_distribution<double> step(0.0, 2.5);
@@ -469,15 +542,34 @@ TEST(FaultTimeline, CursorMatchesLinearScanOnRandomizedEvents) {
     t += step(rng);
   }
 
-  // Backward jump (an engine rebuild) triggers the cold rebuild path, and
-  // events injected after ticking started dirty the index — both must
-  // land back on the linear answers.
+  // Backward jump triggers the cold rebuild path, and events injected
+  // after ticking started dirty the index — both must land back on the
+  // linear answers.
   tl.advance_to(horizon / 2.0);
   check_all(horizon / 2.0);
   tl.add_slowdown(0, 0.5, horizon / 2.0 - 10.0, horizon / 2.0 + 10.0);
   tl.add_machine_down(1, horizon / 2.0 - 5.0, horizon / 2.0 + 5.0);
   tl.advance_to(horizon / 2.0 + 1.0);
   check_all(horizon / 2.0 + 1.0);
+}
+
+TEST(FaultTimeline, RejectsBadEvents) {
+  FaultTimeline tl(3);
+  EXPECT_THROW(tl.add_slowdown(3, 0.5, 0.0, 1.0), std::invalid_argument);
+  EXPECT_THROW(tl.add_slowdown(0, 0.0, 0.0, 1.0), std::invalid_argument);
+  EXPECT_THROW(tl.add_machine_down(0, 2.0, 2.0), std::invalid_argument);
+  EXPECT_THROW(tl.add_ingest_stall(2.0, 1.0), std::invalid_argument);
+  EXPECT_THROW(tl.add_service_outage("", 0.0, 1.0), std::invalid_argument);
+  EXPECT_THROW(tl.add_partition({}, 0.0, 1.0), std::invalid_argument);
+  EXPECT_THROW(tl.add_partition({1, 1}, 0.0, 1.0), std::invalid_argument);
+  EXPECT_THROW(tl.add_partition({0, 3}, 0.0, 1.0), std::invalid_argument);
+  // An island of every machine leaves no mainland to cut it from.
+  EXPECT_THROW(tl.add_partition({0, 1, 2}, 0.0, 1.0), std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(tl.add_machine_down(0, nan, 1.0), std::invalid_argument);
+  EXPECT_THROW(tl.add_ingest_stall(0.0, nan), std::invalid_argument);
+  EXPECT_THROW(tl.add_slowdown(0, nan, 0.0, 1.0), std::invalid_argument);
+  EXPECT_TRUE(tl.events().empty());
 }
 
 TEST(FaultTimeline, NetworkPartitionBlocksCrossCutEdges) {
@@ -505,6 +597,29 @@ TEST(FaultTimeline, NetworkPartitionBlocksCrossCutEdges) {
   e->reset_counters();
   e->run_until(400.0);
   EXPECT_GT(e->throughput(), before);  // healed and draining the backlog
+}
+
+TEST(FaultTimeline, CarriedPartitionsCutTheNewEnginesOwnPlacement) {
+  // A timeline handed to a new engine brings its partitions' islands, and
+  // the engine cuts them against its own placement exactly as if they had
+  // been injected into it. p = {2, 2, 1} places nothing on machine 2, so
+  // the island {2} cuts no edge while {1} cuts the source's exchange.
+  const auto throughput = [](const std::vector<std::size_t>& island,
+                             bool carried) {
+    auto faults = std::make_unique<FaultTimeline>(3);
+    if (carried) faults->add_partition(island, 10.0, 40.0);
+    Engine e(simple_chain(), Cluster(paper_cluster()), {2, 2, 1},
+             std::make_unique<KafkaLog>(std::make_shared<ConstantRate>(5e4)),
+             quiet_params(), std::move(faults));
+    if (!carried) e.inject_network_partition(island, 10.0, 40.0);
+    e.run_until(10.0);
+    e.reset_counters();
+    e.run_until(40.0);
+    return e.throughput();
+  };
+  EXPECT_EQ(throughput({2}, true), throughput({2}, false));
+  EXPECT_EQ(throughput({1}, true), throughput({1}, false));
+  EXPECT_LT(throughput({1}, true), 0.5 * throughput({2}, true));
 }
 
 }  // namespace

@@ -2,8 +2,7 @@
 // skipping, dirty-set bookkeeping against fault-timeline deltas, epoch
 // cache accounting, and the bit-identity contract against the legacy
 // tick-driven reference — at the engine level, under rack-uplink
-// contention, across exec thread counts, and through ScalingSession
-// rescales.
+// contention, and through ScalingSession rescales.
 #include "streamsim/engine.hpp"
 
 #include <cstddef>
@@ -183,33 +182,6 @@ TEST(EventEngine, BitIdenticalUnderRackUplinkContention) {
   // The cap actually bound: both cores pinned below the offered rate.
   EXPECT_LT(event->kafka().total_consumed(),
             0.9 * event->kafka().total_produced());
-}
-
-TEST(EventEngine, ShardedRefreshIsBitIdenticalAcrossThreadCounts) {
-  // 520 machines crosses the parallel-refresh floor, so threads > 1 shard
-  // the epoch refold over the exec pool. Index-addressed reduction must
-  // keep the result bitwise independent of the thread count.
-  const auto run_threads = [](int threads) {
-    sim::EngineParams p = quiet(sim::EngineCore::kEventDriven);
-    p.threads = threads;
-    auto e = std::make_unique<sim::Engine>(
-        simple_chain(), sim::Cluster(sim::uniform_cluster(520, 40)),
-        sim::Parallelism{520, 520, 520},
-        std::make_unique<sim::KafkaLog>(
-            std::make_shared<sim::ConstantRate>(3e5)),
-        p);
-    e->inject_slowdown(7, 0.5, 3.0, 8.0);
-    e->inject_machine_down(100, 5.0, 10.0);
-    e->run_until(15.0);
-    return e;
-  };
-  const auto serial = run_threads(1);
-  EXPECT_GT(serial->epoch_stats().full_refreshes, 0u);
-  for (const int threads : {2, 8}) {
-    const auto parallel = run_threads(threads);
-    expect_bit_identical(*serial, *parallel,
-                         "threads=" + std::to_string(threads));
-  }
 }
 
 TEST(EventEngine, LoadEpsilonSkipsConvergedRefolds) {

@@ -373,6 +373,53 @@ TEST(FaultHost, FaultsSurviveReconfiguration) {
   EXPECT_LT(during, early);  // the successor engine still sees the fault
 }
 
+TEST(FaultHost, LateFaultsRideEveryRebuildLikeEarlyOnes) {
+  // Faults delivered after two rescales (the timeline's cursor has moved,
+  // and the delivery leaves it dirty) are handed on by a third rescale and
+  // by a crash restart: the slow node still throttles the job afterwards,
+  // exactly as when the same faults were delivered before the first tick.
+  struct Run {
+    runtime::JobMetrics slowed;
+    int restarts = 0;
+    int failure_restarts = 0;
+  };
+  const auto run = [](bool faults, bool late) {
+    sim::ScalingSession session(chain_spec(50000.0), {1, 1, 1});
+    const auto deliver = [&] {
+      // p = 1 puts every operator on machine 0; machine 2's crash costs a
+      // restart at 160 s without touching the job's own instances.
+      session.host_slow_node(0, 0.2, 200.0, 400.0);
+      session.host_machine_down(2, 150.0, 260.0, 10.0);
+    };
+    if (faults && !late) deliver();
+    session.run_for(40.0);
+    session.reconfigure({2, 2, 2});
+    session.run_for(40.0);
+    session.reconfigure({2, 1, 2});
+    session.run_for(40.0);
+    if (faults && late) deliver();
+    session.reconfigure({1, 1, 1});
+    session.run_to(210.0);
+    session.reset_window();
+    session.run_to(300.0);
+    return Run{session.window_metrics(), session.restarts(),
+               session.failure_restarts()};
+  };
+  const Run early = run(true, false);
+  const Run late = run(true, true);
+  const Run healthy = run(false, false);
+
+  EXPECT_EQ(late.restarts, 4);  // three rescales and one crash restart
+  EXPECT_EQ(late.failure_restarts, 1);
+  EXPECT_EQ(healthy.failure_restarts, 0);
+  EXPECT_LT(late.slowed.throughput, 0.5 * healthy.slowed.throughput);
+  EXPECT_EQ(late.restarts, early.restarts);
+  EXPECT_EQ(late.slowed.throughput, early.slowed.throughput);
+  EXPECT_EQ(late.slowed.kafka_lag, early.slowed.kafka_lag);
+  EXPECT_EQ(late.slowed.latency_ms, early.slowed.latency_ms);
+  EXPECT_EQ(late.slowed.busy_cores, early.slowed.busy_cores);
+}
+
 TEST(FaultHost, RackCrashCostsOneRestartForTheGroup) {
   // paper_cluster puts machines 0 and 1 on the same rack. With p=2 both
   // hold instances, so the rack crash stalls the chain — and the framework
@@ -764,9 +811,8 @@ TEST(MirrorRetention, DeclaredWindowBoundsTheMirrorAndMovesNoDecision) {
   const double horizon = 12.0 * 3600.0;
   const sim::JobSpec spec =
       workloads::word_count(std::make_shared<sim::ConstantRate>(220e3));
-  fault::ChaosProfile profile =
+  const fault::ChaosProfile profile =
       fault::ChaosProfile::for_job(spec, horizon, 0.5);
-  profile.max_duration_frac = 600.0 / horizon;
   const fault::FaultSchedule schedule =
       fault::ChaosGenerator(profile).generate(1);
   ASSERT_TRUE(schedule.has_metric_faults());
@@ -825,6 +871,33 @@ TEST(MirrorRetention, DeclaredWindowBoundsTheMirrorAndMovesNoDecision) {
                     1;
   EXPECT_LE(bounded.most_held, most);
   EXPECT_GT(unbounded.most_held, 100 * most);
+}
+
+TEST(ChaosProfile, ForClusterCapsEventsAtTenMinutes) {
+  // Up to a 5000 s horizon the cap leaves the fraction at exactly 0.12,
+  // so no committed schedule moves; beyond it no event outlasts 600 s.
+  const sim::Cluster cluster(sim::paper_cluster());
+  for (const double horizon : {600.0, 1800.0, 4999.0, 5000.0}) {
+    EXPECT_EQ(fault::ChaosProfile::for_cluster(cluster, horizon)
+                  .max_duration_frac,
+              0.12)
+        << horizon;
+  }
+  const sim::JobSpec spec = chain_spec(50000.0);
+  for (const double horizon : {5001.0, 43200.0, 86400.0}) {
+    const fault::ChaosProfile profile =
+        fault::ChaosProfile::for_job(spec, horizon, 2.0);
+    EXPECT_EQ(profile.max_duration_frac, 600.0 / horizon) << horizon;
+    EXPECT_LT(profile.max_duration_frac, 0.12) << horizon;
+    const fault::FaultSchedule schedule =
+        fault::ChaosGenerator(profile).generate(7);
+    ASSERT_FALSE(schedule.empty());
+    double longest = 0.0;
+    for (const fault::FaultEvent& e : schedule.events()) {
+      longest = std::max(longest, e.duration);
+    }
+    EXPECT_LE(longest, 600.0 + 1e-9) << horizon;
+  }
 }
 
 TEST(Resilience, BaselineLoopStopsWhenClockEndsShortOfHorizon) {

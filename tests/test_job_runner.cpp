@@ -1,6 +1,7 @@
 // Tests for the JobRunner evaluation harness and the live ScalingSession.
 #include "streamsim/job_runner.hpp"
 
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -362,6 +363,36 @@ TEST(ScalingSession, HotScaleOutValidation) {
   EXPECT_NO_THROW(
       session.reconfigure({2, 3, 2}, runtime::RescaleMode::kHotScaleOut));
   EXPECT_EQ(session.parallelism(), (Parallelism{2, 3, 2}));
+}
+
+TEST(ScalingSession, RejectedRescaleKeepsTheJobRunning) {
+  ScalingSession session(small_job(1000.0), {1, 1, 1});
+  session.host_slow_node(0, 0.5, 5.0, 50.0);
+  session.run_for(10.0);
+  EXPECT_THROW(session.reconfigure({1, 1, 100000}), std::invalid_argument);
+  EXPECT_THROW(session.reconfigure({1, 1}), std::invalid_argument);
+  EXPECT_THROW(session.reconfigure({1, 0, 1}), std::invalid_argument);
+  EXPECT_EQ(session.restarts(), 0);
+  session.run_for(10.0);  // the Kafka log and the faults are still there
+  EXPECT_NEAR(session.now(), 20.0, 1e-9);
+  session.reconfigure({2, 2, 2});
+  session.run_for(10.0);
+  EXPECT_EQ(session.restarts(), 1);
+}
+
+TEST(ScalingSession, RejectsCrashesWithoutARestartInstant) {
+  // A crash whose restart instant is NaN could never be ordered against
+  // the clock, so the session refuses it instead of never restarting.
+  ScalingSession session(small_job(1000.0), {1, 1, 1});
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(session.host_machine_down(0, 10.0, 20.0, nan),
+               std::invalid_argument);
+  EXPECT_THROW(session.host_rack_down({0, 1}, nan, 20.0, 5.0),
+               std::invalid_argument);
+  EXPECT_THROW(session.host_rack_down({0, 1}, 10.0, 20.0, -1.0),
+               std::invalid_argument);
+  session.run_for(60.0);
+  EXPECT_EQ(session.restarts(), 0);
 }
 
 TEST(ScalingSession, HotScaleOutHasMuchLessDowntime) {
