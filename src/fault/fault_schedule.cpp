@@ -1,6 +1,7 @@
 #include "fault/fault_schedule.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <random>
 #include <stdexcept>
 #include <utility>
@@ -42,6 +43,15 @@ bool has_duplicate_machines(const std::vector<std::size_t>& machines) {
 // Validation shared between the builder methods and the vector constructor
 // so a hand-assembled event passes exactly the same checks a built one does.
 void validate_event(const FaultEvent& e) {
+  // Every bound below is false for NaN, so finiteness comes first.
+  for (const double v : {e.at, e.duration, e.detection_delay_sec,
+                         e.magnitude}) {
+    if (!std::isfinite(v)) {
+      throw std::invalid_argument(std::string("FaultSchedule: event '") +
+                                  to_string(e.kind) +
+                                  "' has a non-finite time or magnitude");
+    }
+  }
   if (e.at < 0.0 || e.duration <= 0.0) {
     throw std::invalid_argument(std::string("FaultSchedule: event '") +
                                 to_string(e.kind) +

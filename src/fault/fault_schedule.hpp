@@ -61,7 +61,8 @@ struct FaultEvent {
 };
 
 /// An ordered, validated collection of fault events. Immutable once handed
-/// to a backend; the builder methods return *this for chaining.
+/// to a backend; the builder methods return *this for chaining. An event's
+/// start, duration, detection delay and magnitude must all be finite.
 class FaultSchedule {
  public:
   FaultSchedule() = default;

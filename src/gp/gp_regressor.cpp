@@ -4,7 +4,9 @@
 #include <cmath>
 #include <limits>
 #include <numbers>
+#include <span>
 #include <stdexcept>
+#include <string>
 
 #include "exec/exec.hpp"
 
@@ -23,30 +25,22 @@ double compute_log_ml(const linalg::Cholesky& chol, const linalg::Vector& y,
          0.5 * n * std::log(2.0 * std::numbers::pi);
 }
 
-/// FNV-1a over a byte range, chained through `h`.
-std::uint64_t fnv1a_bytes(const void* data, std::size_t len, std::uint64_t h) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-/// Fingerprint of a training set: shape plus the raw bytes of X and y.
-/// Bitwise-equal inputs (the only case fit() may skip) hash equal.
-std::uint64_t fingerprint_of(const linalg::Matrix& x, const linalg::Vector& y) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const std::uint64_t shape[2] = {x.rows(), x.cols()};
-  h = fnv1a_bytes(shape, sizeof(shape), h);
-  h = fnv1a_bytes(x.data().data(), x.data().size() * sizeof(double), h);
-  h = fnv1a_bytes(y.data(), y.size() * sizeof(double), h);
-  return h;
+/// True when `a` and `b` hold the same doubles bit for bit (so -0.0 and
+/// 0.0 differ): the only case in which fit() may skip a refit.
+bool same_bits(std::span<const double> a, std::span<const double> b) {
+  return std::ranges::equal(std::as_bytes(a), std::as_bytes(b));
 }
 
 bool all_finite(std::span<const double> values) {
   return std::all_of(values.begin(), values.end(),
                      [](double v) { return std::isfinite(v); });
+}
+
+void check_noise_variance(double v, const char* where) {
+  if (!std::isfinite(v) || v < 0.0) {
+    throw std::invalid_argument(std::string(where) +
+                                ": noise_variance must be finite and >= 0");
+  }
 }
 
 }  // namespace
@@ -56,7 +50,9 @@ double Prediction::stddev() const noexcept { return std::sqrt(variance); }
 GpRegressor::GpRegressor(GpConfig config)
     : config_(std::move(config)),
       kernel_(make_kernel(config_.kernel, config_.signal_variance,
-                          config_.length_scale)) {}
+                          config_.length_scale)) {
+  check_noise_variance(config_.noise_variance, "GpRegressor");
+}
 
 GpRegressor::GpRegressor(const GpRegressor& other)
     : config_(other.config_),
@@ -64,7 +60,6 @@ GpRegressor::GpRegressor(const GpRegressor& other)
       fitted_(other.fitted_),
       x_raw_(other.x_raw_),
       y_raw_(other.y_raw_),
-      fingerprint_(other.fingerprint_),
       observe_count_(other.observe_count_),
       x_(other.x_),
       y_(other.y_),
@@ -98,18 +93,21 @@ void GpRegressor::fit(const linalg::Matrix& x, const linalg::Vector& y) {
   if (!all_finite(x.data()) || !all_finite(y)) {
     throw std::invalid_argument("GpRegressor::fit: non-finite training data");
   }
-  const std::uint64_t fp = fingerprint_of(x, y);
-  if (fitted_ && fp == fingerprint_) {
+  // Equal lengths of y and of X's data make the shapes equal too.
+  if (fitted_ && same_bits(y, y_raw_) && same_bits(x.data(), x_raw_.data())) {
     ++stats_.fingerprint_hits;
     return;
   }
   x_raw_ = x;
   y_raw_ = y;
-  fingerprint_ = fp;
   fit_from_raw();
 }
 
 void GpRegressor::fit_from_raw() {
+  // The model counts as fitted again only once its new factor is whole,
+  // and the old factor goes first, so a refit never holds two.
+  fitted_ = false;
+  chol_.reset();
   const std::size_t n = x_raw_.rows();
   const std::size_t d = x_raw_.cols();
 
@@ -140,20 +138,15 @@ void GpRegressor::fit_from_raw() {
   }
 
   refresh_targets();
-
-  fitted_ = true;
   observe_count_ = 0;
   ++stats_.full_fits;
 
-  // The pairwise distances do not depend on the hyper-parameters: compute
-  // them once, and let every grid point and the final factorisation map
-  // them through its own kernel.
-  linalg::Matrix d2 = linalg::squared_distances(x_);
-  if (!config_.optimize_hyperparams || n < 3) {
-    refit_factorisation(std::move(d2));
-    return;
-  }
+  if (config_.optimize_hyperparams && n >= 3) choose_hyperparameters();
+  factor_gram();
+  fitted_ = true;
+}
 
+void GpRegressor::choose_hyperparameters() {
   // Multi-start grid search over (signal variance, length scale) maximising
   // the log marginal likelihood. With standardised targets the optimal
   // signal variance is near 1, so a modest grid around it suffices. A
@@ -163,6 +156,7 @@ void GpRegressor::fit_from_raw() {
   // in parallel. The argmax scan runs serially in grid order (signal
   // variance outer), which keeps the selected hyper-parameters
   // bit-identical at any thread count.
+  const std::size_t n = x_.rows();
   const std::size_t g =
       static_cast<std::size_t>(std::max(2, config_.grid_points));
   const auto log_spaced = [g](double lo, double hi, std::size_t i) {
@@ -175,11 +169,14 @@ void GpRegressor::fit_from_raw() {
     svs[i] = log_spaced(0.1, 10.0, i);
     lss[i] = log_spaced(config_.min_length_scale, config_.max_length_scale, i);
   }
-  // The squared distances below the diagonal, row by row.
+  // The pairwise distances do not depend on the hyper-parameters: the
+  // squared distances below the diagonal, row by row, computed once.
   std::vector<double> below;
   below.reserve(n * (n - 1) / 2);
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < i; ++j) below.push_back(d2(i, j));
+    for (std::size_t j = 0; j < i; ++j) {
+      below.push_back(linalg::squared_distance(x_.row(i), x_.row(j)));
+    }
   }
 
   std::vector<double> log_mls(g * g);
@@ -189,21 +186,22 @@ void GpRegressor::fit_from_raw() {
     std::vector<double> shape = below;
     std::vector<double> decay(below.size());
     kernel->shape_and_decay(shape, decay);
-    linalg::Matrix k(n, n);
+    // One factor buffer, refilled with the lower triangle of K + noise I
+    // for each signal variance.
+    linalg::Cholesky k(n);
     for (std::size_t a = 0; a < g; ++a) {
-      // The lower triangle of kernel->gram() + noise I: all factor() reads.
       kernel->set_signal_variance(svs[a]);
       std::size_t p = 0;
       for (std::size_t i = 0; i < n; ++i) {
+        const std::span<double> row = k.lower_row(i);
         for (std::size_t j = 0; j < i; ++j, ++p) {
-          k(i, j) = kernel->covariance(shape[p], decay[p]);
+          row[j] = kernel->covariance(shape[p], decay[p]);
         }
-        k(i, i) = kernel->diagonal() + config_.noise_variance;
+        row[i] = kernel->diagonal() + config_.noise_variance;
       }
-      const auto chol = linalg::Cholesky::factor(k);
-      log_mls[a * g + b] =
-          chol ? compute_log_ml(*chol, y_, chol->solve(y_))
-               : -std::numeric_limits<double>::infinity();
+      log_mls[a * g + b] = k.factor_in_place()
+                               ? compute_log_ml(k, y_, k.solve(y_))
+                               : -std::numeric_limits<double>::infinity();
     }
   });
 
@@ -219,14 +217,37 @@ void GpRegressor::fit_from_raw() {
   }
   kernel_->set_signal_variance(best_sv);
   kernel_->set_length_scale(best_ls);
-  refit_factorisation(std::move(d2));
 }
 
-void GpRegressor::refit_factorisation(linalg::Matrix d2) {
-  linalg::Matrix k = kernel_->gram_from_squared_distances(std::move(d2));
-  k.add_diagonal(config_.noise_variance);
-  chol_ = linalg::Cholesky::factor_with_jitter(std::move(k), 1e-10, 1e-2,
-                                               &jitter_);
+void GpRegressor::factor_gram() {
+  const std::size_t n = x_.rows();
+  const double diagonal = kernel_->diagonal() + config_.noise_variance;
+  linalg::Cholesky chol(n);
+  // The jitter ladder, the standard defence against the nearly singular
+  // Gram matrices of duplicated points: the plain matrix first, then
+  // 1e-10, 1e-9, ... up to 1e-2 on its diagonal, each attempt refilling
+  // the buffer the one before overwrote. observe() extends only a factor
+  // without jitter.
+  for (double jitter = 0.0;; jitter = jitter == 0.0 ? 1e-10 : jitter * 10.0) {
+    if (jitter > 1e-2) {
+      throw std::runtime_error(
+          "GpRegressor::fit: Gram matrix not positive definite even with "
+          "maximum jitter");
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::span<double> row = chol.lower_row(i);
+      for (std::size_t j = 0; j < i; ++j) {
+        row[j] = linalg::squared_distance(x_.row(i), x_.row(j));
+      }
+      kernel_->covariance_from_squared_distances(row.first(i));
+      row[i] = diagonal + jitter;
+    }
+    if (chol.factor_in_place()) {
+      jitter_ = jitter;
+      break;
+    }
+  }
+  chol_ = std::move(chol);
   alpha_ = chol_->solve(y_);
   log_ml_ = compute_log_ml(*chol_, y_, alpha_);
 }
@@ -269,7 +290,6 @@ void GpRegressor::observe(std::span<const double> x, double y) {
     evicted = true;
     ++stats_.window_evictions;
   }
-  fingerprint_ = fingerprint_of(x_raw_, y_raw_);
   ++observe_count_;
 
   // Fallback ladder: conditions under which the cached factor cannot be
@@ -347,10 +367,15 @@ void GpRegressor::restore(const GpSnapshot& snap) {
     throw std::invalid_argument(
         "GpRegressor::restore: inconsistent snapshot shapes");
   }
-
+  check_noise_variance(snap.noise_variance, "GpRegressor::restore");
+  // The serialised factor is adopted verbatim — an incrementally built L
+  // differs from a refactorisation in the low bits, and bit-identity of
+  // subsequent decisions depends on keeping exactly it. It and the kernel
+  // are the checks that can still throw, so they come before any change.
+  linalg::Cholesky chol = linalg::Cholesky::from_lower(snap.l);
+  kernel_ = make_kernel(snap.kernel, snap.signal_variance, snap.length_scale);
   config_.kernel = snap.kernel;
   config_.noise_variance = snap.noise_variance;
-  kernel_ = make_kernel(snap.kernel, snap.signal_variance, snap.length_scale);
 
   x_raw_ = snap.x;
   y_raw_ = snap.y;
@@ -369,15 +394,11 @@ void GpRegressor::restore(const GpSnapshot& snap) {
     }
   }
   refresh_targets();
-  // The serialised factor is adopted verbatim — an incrementally built L
-  // differs from a refactorisation in the low bits, and bit-identity of
-  // subsequent decisions depends on keeping exactly it.
-  chol_ = linalg::Cholesky::from_lower(snap.l);
+  chol_ = std::move(chol);
   alpha_ = chol_->solve(y_);
   log_ml_ = compute_log_ml(*chol_, y_, alpha_);
   jitter_ = snap.jitter;
   observe_count_ = snap.observe_count;
-  fingerprint_ = fingerprint_of(x_raw_, y_raw_);
   fitted_ = true;
 }
 

@@ -112,6 +112,8 @@ struct GpConfig {
 /// hyper-parameter selection.
 class GpRegressor {
  public:
+  /// Throws std::invalid_argument on a negative or non-finite
+  /// noise_variance.
   explicit GpRegressor(GpConfig config = {});
 
   // Copyable (the kernel is deep-cloned) and movable, so models can live in
@@ -124,10 +126,12 @@ class GpRegressor {
 
   /// Fits the model to `x` (row per sample) and targets `y`.
   /// Throws std::invalid_argument on shape mismatch, empty data or any
-  /// non-finite value, before any state changes.
-  /// Fitting the exact same (x, y) as the previous fit is a no-op (an
-  /// input-fingerprint short-circuit; FitStats::fingerprint_hits counts
-  /// it) — the cached factor and hyper-parameters are already right.
+  /// non-finite value, before any state changes. Throws
+  /// std::runtime_error when the Gram matrix cannot be factored even with
+  /// the maximum jitter; the model is then unfitted.
+  /// Fitting a fitted model's exact window again (the same bits as the
+  /// data it holds; FitStats::fingerprint_hits counts it) is a no-op — the
+  /// cached factor and hyper-parameters are already right.
   void fit(const linalg::Matrix& x, const linalg::Vector& y);
 
   /// Appends one observation in original units, reusing the cached
@@ -140,7 +144,8 @@ class GpRegressor {
   /// definiteness). With max_observations set, the oldest observation is
   /// evicted first once the window is full. Throws std::logic_error before
   /// fit() and std::invalid_argument on dimension mismatch or a non-finite
-  /// x or y, before any state changes.
+  /// x or y, before any state changes; a fallback refit throws as fit()
+  /// does, leaving the model unfitted.
   void observe(std::span<const double> x, double y);
 
   /// Captures the full fitted state (raw window, hyper-parameters, cached
@@ -150,8 +155,10 @@ class GpRegressor {
 
   /// Rebuilds the fitted state from a snapshot (derived quantities —
   /// normalised data, alpha, log-ML — are recomputed from it
-  /// deterministically). Throws std::invalid_argument on inconsistent
-  /// shapes or a non-positive factor diagonal.
+  /// deterministically). Throws std::invalid_argument, before any state
+  /// changes, on inconsistent shapes, a non-positive factor diagonal,
+  /// non-positive kernel hyper-parameters or a negative or non-finite
+  /// noise variance.
   void restore(const GpSnapshot& snap);
 
   /// Posterior mean/variance at each of the out.size() points of `rows`
@@ -187,7 +194,13 @@ class GpRegressor {
 
  private:
   void fit_from_raw();
-  void refit_factorisation(linalg::Matrix d2);
+  /// Sets the kernel's hyper-parameters to the grid point of highest log
+  /// marginal likelihood on the normalised data.
+  void choose_hyperparameters();
+  /// Factors K + noise I of the normalised data, built in the factor's own
+  /// buffer, climbing the jitter ladder until it factors; sets the cached
+  /// factor, jitter, alpha and log-ML.
+  void factor_gram();
   void refresh_targets();
   /// Coordinate j of an input, mapped into the unit box of the last fit.
   [[nodiscard]] double normalize(double v, std::size_t j) const noexcept {
@@ -202,7 +215,6 @@ class GpRegressor {
   // the fallback refits and snapshots rebuild everything from it).
   linalg::Matrix x_raw_;
   linalg::Vector y_raw_;
-  std::uint64_t fingerprint_ = 0;   ///< FNV-1a over the raw window.
   std::uint64_t observe_count_ = 0; ///< Observes since the last full fit.
 
   // Normalised training data.

@@ -46,21 +46,6 @@ double Kernel::operator()(std::span<const double> a,
   return k;
 }
 
-linalg::Matrix Kernel::gram(const linalg::Matrix& x) const {
-  return gram_from_squared_distances(linalg::squared_distances(x));
-}
-
-linalg::Matrix Kernel::gram_from_squared_distances(linalg::Matrix d2) const {
-  const std::size_t n = d2.rows();
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::span<double> left = d2.row(i).first(i);
-    covariance_from_squared_distances(left);
-    d2(i, i) = diagonal();
-    for (std::size_t j = 0; j < i; ++j) d2(j, i) = left[j];
-  }
-  return d2;
-}
-
 linalg::Vector Kernel::cross(const linalg::Matrix& x,
                              std::span<const double> x_star) const {
   linalg::Vector out(x.rows());

@@ -82,15 +82,6 @@ class Kernel {
   [[nodiscard]] std::string name() const { return to_string(kind()); }
   [[nodiscard]] virtual std::unique_ptr<Kernel> clone() const = 0;
 
-  /// Gram matrix K where K(i,j) = k(X_i, X_j); X is row-per-sample.
-  [[nodiscard]] linalg::Matrix gram(const linalg::Matrix& x) const;
-
-  /// The same Gram matrix from linalg::squared_distances(X) (only its lower
-  /// triangle is read), built in place in d2's storage: a fit computes the
-  /// distances once and hands them to its final kernel.
-  [[nodiscard]] linalg::Matrix gram_from_squared_distances(
-      linalg::Matrix d2) const;
-
   /// Cross-covariance vector [k(x_star, X_i)]_i.
   [[nodiscard]] linalg::Vector cross(const linalg::Matrix& x,
                                      std::span<const double> x_star) const;

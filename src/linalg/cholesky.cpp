@@ -56,45 +56,37 @@ void Cholesky::forward_rows(std::size_t n, double* x) const noexcept {
   }
 }
 
-std::optional<Cholesky> Cholesky::factor(const Matrix& a) {
-  if (a.rows() != a.cols()) {
-    throw std::invalid_argument("Cholesky::factor: matrix must be square");
-  }
-  const std::size_t n = a.rows();
-  Cholesky c(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    // Row i left of the diagonal solves L[0:i, 0:i] l_i = a_i; the products
-    // l(j,k) l(i,k) are those of the textbook loop, summed in the same order.
-    double* li = c.row(i);
-    const std::span<const double> ai = a.row(i);
-    std::copy(ai.begin(), ai.begin() + static_cast<std::ptrdiff_t>(i), li);
-    c.forward_rows(i, li);
-    double s = ai[i];
+bool Cholesky::factor_in_place() noexcept {
+  for (std::size_t i = 0; i < n_; ++i) {
+    // Row i left of the diagonal solves L[0:i, 0:i] l_i = a_i where it
+    // lies; the products l(j,k) l(i,k) are those of the textbook loop,
+    // summed in the same order.
+    double* li = row(i);
+    forward_rows(i, li);
+    double s = li[i];
     for (std::size_t k = 0; k < i; ++k) s -= li[k] * li[k];
-    if (s <= 0.0 || !std::isfinite(s)) return std::nullopt;
+    if (s <= 0.0 || !std::isfinite(s)) return false;
     li[i] = std::sqrt(s);
+  }
+  return true;
+}
+
+Cholesky Cholesky::copy_lower(const Matrix& m) {
+  Cholesky c(m.rows());
+  for (std::size_t i = 0; i < m.rows(); ++i) {
+    const std::span<const double> mi = m.row(i).first(i + 1);
+    std::copy(mi.begin(), mi.end(), c.row(i));
   }
   return c;
 }
 
-Cholesky Cholesky::factor_with_jitter(Matrix a, double jitter,
-                                      double max_jitter,
-                                      double* applied_jitter) {
-  if (auto c = factor(a)) {
-    if (applied_jitter != nullptr) *applied_jitter = 0.0;
-    return std::move(*c);
+std::optional<Cholesky> Cholesky::factor(const Matrix& a) {
+  if (a.rows() != a.cols()) {
+    throw std::invalid_argument("Cholesky::factor: matrix must be square");
   }
-  for (double j = jitter; j <= max_jitter; j *= 10.0) {
-    Matrix jittered = a;
-    jittered.add_diagonal(j);
-    if (auto c = factor(jittered)) {
-      if (applied_jitter != nullptr) *applied_jitter = j;
-      return std::move(*c);
-    }
-  }
-  throw std::runtime_error(
-      "Cholesky::factor_with_jitter: matrix not positive definite even with "
-      "maximum jitter");
+  Cholesky c = copy_lower(a);
+  if (!c.factor_in_place()) return std::nullopt;
+  return c;
 }
 
 Cholesky Cholesky::from_lower(const Matrix& l) {
@@ -108,13 +100,7 @@ Cholesky Cholesky::from_lower(const Matrix& l) {
           "Cholesky::from_lower: diagonal must be positive and finite");
     }
   }
-  Cholesky c(l.rows());
-  for (std::size_t i = 0; i < l.rows(); ++i) {
-    const std::span<const double> li = l.row(i);
-    std::copy(li.begin(), li.begin() + static_cast<std::ptrdiff_t>(i) + 1,
-              c.row(i));
-  }
-  return c;
+  return copy_lower(l);
 }
 
 Matrix Cholesky::lower() const {

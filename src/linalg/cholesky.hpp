@@ -19,21 +19,25 @@ namespace autra::linalg {
 /// last, so a sliding observation window never rebuilds the factor.
 class Cholesky {
  public:
-  /// Factorises `a` (must be square, symmetric, positive definite).
-  /// Returns std::nullopt if the matrix is not positive definite.
-  [[nodiscard]] static std::optional<Cholesky> factor(const Matrix& a);
+  /// A buffer for an n x n symmetric matrix A, to be filled with A's lower
+  /// triangle through lower_row() and then factorised by factor_in_place().
+  /// Until that succeeds the object holds A, not a factor.
+  explicit Cholesky(std::size_t n);
 
-  /// Factorises `a + jitter*I`, growing the jitter by 10x (up to
-  /// `max_jitter`) until the factorisation succeeds. Throws
-  /// std::runtime_error if even the maximum jitter fails. This is the
-  /// standard defence against nearly-singular GP kernel matrices built from
-  /// duplicated sample points. When `applied_jitter` is non-null it
-  /// receives the jitter that was actually added (0.0 when the plain
-  /// factorisation succeeded) — the incremental GP only extends factors it
-  /// knows to be jitter-free.
-  [[nodiscard]] static Cholesky factor_with_jitter(
-      Matrix a, double jitter = 1e-10, double max_jitter = 1e-2,
-      double* applied_jitter = nullptr);
+  /// Entries (i, 0..i) of row i: A's before factor_in_place(), L's after.
+  [[nodiscard]] std::span<double> lower_row(std::size_t i) noexcept {
+    return {row(i), i + 1};
+  }
+
+  /// Replaces A in the buffer by its factor L, row by row where it lies.
+  /// Returns false if A is not positive definite; the buffer then holds
+  /// neither, so a caller retrying (say, with jitter) refills every row.
+  [[nodiscard]] bool factor_in_place() noexcept;
+
+  /// Factorises `a` (must be square, symmetric, positive definite): its
+  /// lower triangle copied into a buffer, then factor_in_place(). Returns
+  /// std::nullopt if the matrix is not positive definite.
+  [[nodiscard]] static std::optional<Cholesky> factor(const Matrix& a);
 
   /// Wraps an externally produced lower-triangular factor (e.g. one read
   /// back from a model snapshot). Entries above the diagonal are ignored.
@@ -92,8 +96,8 @@ class Cholesky {
   [[nodiscard]] std::size_t size() const noexcept { return n_; }
 
  private:
-  /// An n x n factor at origin 0, in a buffer with room to grow.
-  explicit Cholesky(std::size_t n);
+  /// A buffer holding the lower triangle of `m` (square).
+  [[nodiscard]] static Cholesky copy_lower(const Matrix& m);
 
   /// Entries (i, 0..i) of row i, contiguous.
   [[nodiscard]] const double* row(std::size_t i) const noexcept {

@@ -151,15 +151,4 @@ double norm2(std::span<const double> a) noexcept {
   return std::sqrt(s);
 }
 
-Matrix squared_distances(const Matrix& x) {
-  const std::size_t n = x.rows();
-  Matrix d2(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < i; ++j) {
-      d2(i, j) = squared_distance(x.row(i), x.row(j));
-    }
-  }
-  return d2;
-}
-
 }  // namespace autra::linalg

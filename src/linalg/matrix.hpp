@@ -117,9 +117,4 @@ class Matrix {
   return s;
 }
 
-/// Squared distances between the rows of `x`: entry (i, j) for j < i is
-/// squared_distance(x.row(i), x.row(j)); the diagonal and the upper
-/// triangle are zero.
-[[nodiscard]] Matrix squared_distances(const Matrix& x);
-
 }  // namespace autra::linalg

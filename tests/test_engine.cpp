@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "streamsim/fault_timeline.hpp"
+#include "streamsim/job_runner.hpp"
 
 namespace autra::sim {
 namespace {
@@ -620,6 +621,28 @@ TEST(FaultTimeline, CarriedPartitionsCutTheNewEnginesOwnPlacement) {
   EXPECT_EQ(throughput({2}, true), throughput({2}, false));
   EXPECT_EQ(throughput({1}, true), throughput({1}, false));
   EXPECT_LT(throughput({1}, true), 0.5 * throughput({2}, true));
+
+  // The same through ScalingSession::reconfigure, which hands the timeline
+  // to the engine it builds. Delivered at p = {1, 1, 1}, where neither
+  // island cuts an edge, the partition is cut against p = {2, 2, 1}.
+  const auto rescaled = [](const std::vector<std::size_t>& island) {
+    const JobSpec spec{.topology = simple_chain(),
+                       .cluster = paper_cluster(),
+                       .schedule = std::make_shared<ConstantRate>(5e4),
+                       .engine = quiet_params()};
+    ScalingSession session(spec, {1, 1, 1});
+    if (!island.empty()) session.host_network_partition(island, 60.0, 180.0);
+    session.run_for(30.0);
+    session.reconfigure({2, 2, 1});
+    session.reset_window();
+    session.run_to(170.0);
+    return session.window_metrics();
+  };
+  const runtime::JobMetrics healthy = rescaled({});
+  const runtime::JobMetrics uncut = rescaled({2});
+  EXPECT_GT(rescaled({1}).kafka_lag, 1e5);
+  EXPECT_EQ(uncut.throughput, healthy.throughput);
+  EXPECT_EQ(uncut.kafka_lag, healthy.kafka_lag);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include "gp/gp_regressor.hpp"
 #include "gp/kernel.hpp"
 #include "gp/normal.hpp"
+#include "linalg/cholesky.hpp"
 
 #include <cmath>
 #include <limits>
@@ -114,6 +115,16 @@ TEST(Kernel, CloneIsIndependent) {
   EXPECT_EQ(c->name(), "matern52");
 }
 
+/// K(i, j) = k(X_i, X_j), entry by entry: the Gram matrix a fit builds in
+/// its factor's buffer, as a dense matrix.
+Matrix gram(const Kernel& k, const Matrix& x) {
+  Matrix g(x.rows(), x.rows());
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    for (std::size_t j = 0; j < x.rows(); ++j) g(i, j) = k(x.row(i), x.row(j));
+  }
+  return g;
+}
+
 TEST(Kernel, GramIsPositiveDefiniteWithJitter) {
   std::mt19937_64 rng(7);
   std::uniform_real_distribution<double> dist(0.0, 5.0);
@@ -124,16 +135,16 @@ TEST(Kernel, GramIsPositiveDefiniteWithJitter) {
   for (const KernelKind kind :
        {KernelKind::kMatern52, KernelKind::kMatern32, KernelKind::kRbf}) {
     const auto k = make_kernel(kind);
-    Matrix g = k->gram(x);
-    // Symmetric.
+    Matrix g = gram(*k, x);
+    // Symmetric, with the signal variance on the diagonal.
     for (std::size_t i = 0; i < g.rows(); ++i) {
+      EXPECT_EQ(g(i, i), k->diagonal()) << to_string(kind);
       for (std::size_t j = 0; j < i; ++j) {
         EXPECT_NEAR(g(i, j), g(j, i), 1e-14) << to_string(kind);
       }
     }
     g.add_diagonal(1e-8);
-    EXPECT_NO_THROW(linalg::Cholesky::factor_with_jitter(g))
-        << to_string(kind);
+    EXPECT_TRUE(linalg::Cholesky::factor(g).has_value()) << to_string(kind);
   }
 }
 
@@ -276,6 +287,81 @@ TEST(GpRegressor, RefitWithIdenticalDataShortCircuits) {
   EXPECT_EQ(gp.fit_stats().fingerprint_hits, 1u);
   EXPECT_EQ(gp.fit_stats().full_fits, 2u);
   EXPECT_NE(gp.predict(std::vector<double>{5.0}).mean, before.mean);
+}
+
+TEST(GpRegressor, ShortCircuitComparesTheWindowObserveGrew) {
+  GpConfig cfg;
+  cfg.optimize_hyperparams = false;
+  GpRegressor gp(cfg);
+  Matrix x{{0.0}, {2.0}, {5.0}};
+  Vector y{1.0, -1.0, 0.5};
+  gp.fit(x, y);
+  gp.observe(std::vector<double>{1.0}, 0.25);
+  ASSERT_EQ(gp.fit_stats().incremental_updates, 1u);
+
+  // The first three rows alone are no longer the model's window.
+  gp.fit(x, y);
+  EXPECT_EQ(gp.fit_stats().fingerprint_hits, 0u);
+  EXPECT_EQ(gp.fit_stats().full_fits, 2u);
+
+  // The window observe() grew is, bit for bit; -0.0 for 0.0 is not.
+  gp.observe(std::vector<double>{1.0}, 0.25);
+  const Matrix grown{{0.0}, {2.0}, {5.0}, {1.0}};
+  const Vector grown_y{1.0, -1.0, 0.5, 0.25};
+  gp.fit(grown, grown_y);
+  EXPECT_EQ(gp.fit_stats().fingerprint_hits, 1u);
+  EXPECT_EQ(gp.fit_stats().full_fits, 2u);
+  Matrix signed_zero = grown;
+  signed_zero(0, 0) = -0.0;
+  gp.fit(signed_zero, grown_y);
+  EXPECT_EQ(gp.fit_stats().fingerprint_hits, 1u);
+  EXPECT_EQ(gp.fit_stats().full_fits, 3u);
+}
+
+TEST(GpRegressor, ConstructorRejectsNegativeOrNonFiniteNoise) {
+  for (const double noise : {-1.0, -1e-300,
+                             std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+    GpConfig cfg;
+    cfg.noise_variance = noise;
+    EXPECT_THROW(GpRegressor{cfg}, std::invalid_argument) << noise;
+  }
+  GpConfig zero;
+  zero.noise_variance = 0.0;
+  EXPECT_NO_THROW(GpRegressor{zero});
+}
+
+TEST(GpRegressor, FitThatCannotFactorLeavesTheModelUnfitted) {
+  // At a signal variance of 1e308 the off-diagonal covariances overflow
+  // to infinity, so no jitter makes the Gram matrix factor.
+  GpConfig cfg;
+  cfg.optimize_hyperparams = false;
+  cfg.signal_variance = 1e308;
+  const Matrix x{{0.0}, {1.0}, {2.0}};
+  const Vector y{0.1, 0.4, 0.2};
+  GpRegressor gp(cfg);
+  EXPECT_THROW(gp.fit(x, y), std::runtime_error);
+  EXPECT_FALSE(gp.is_fitted());
+  EXPECT_THROW(gp.predict(std::vector<double>{1.0}), std::logic_error);
+
+  // A fitted model whose refit cannot factor: restore() adopts a good
+  // factor at that signal variance, and the out-of-box point forces the
+  // refit.
+  GpConfig sane = cfg;
+  sane.signal_variance = 1.0;
+  GpRegressor fitted(sane);
+  fitted.fit(x, y);
+  GpSnapshot snap = fitted.snapshot();
+  snap.signal_variance = 1e308;
+  fitted.restore(snap);
+  ASSERT_TRUE(fitted.is_fitted());
+  EXPECT_THROW(fitted.observe(std::vector<double>{5.0}, 0.3),
+               std::runtime_error);
+  EXPECT_EQ(fitted.fit_stats().normalisation_refits, 1u);
+  EXPECT_FALSE(fitted.is_fitted());
+  EXPECT_THROW(fitted.predict(std::vector<double>{1.0}), std::logic_error);
+  EXPECT_THROW(fitted.observe(std::vector<double>{1.0}, 0.3),
+               std::logic_error);
 }
 
 TEST(GpRegressor, CopyIsDeepAndIndependent) {
@@ -623,6 +709,92 @@ TEST(GpRegressor, NonFiniteInputThrowsBeforeChangingState) {
   // Still a working model.
   gp.observe(std::vector<double>{2.0, 2.0}, 0.3);
   EXPECT_EQ(gp.fit_stats().incremental_updates, 1u);
+}
+
+TEST(GpRegressor, RestoreRejectsNegativeOrNonFiniteNoiseBeforeChangingState) {
+  GpRegressor gp;
+  gp.fit(Matrix{{0.0}, {4.0}, {1.0}, {2.0}}, Vector{0.5, -0.5, 0.25, 1.0});
+  const GpSnapshot before = gp.snapshot();
+  const FitStats stats = gp.fit_stats();
+  for (const double noise : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+    GpSnapshot bad = before;
+    bad.noise_variance = noise;
+    bad.signal_variance = 2.0;
+    EXPECT_THROW(gp.restore(bad), std::invalid_argument) << noise;
+    expect_same_state(gp, before, stats);
+    EXPECT_EQ(gp.config().noise_variance, before.noise_variance);
+    EXPECT_EQ(gp.kernel().signal_variance(), before.signal_variance);
+  }
+}
+
+// --------------------------------------------------------------------------
+// Bit-exact reference oracle: the Gram matrix as Kernel::gram() built it
+// before fits moved it into their factor's buffer (kernel pairs over the
+// normalised inputs, then noise and jitter on the diagonal), rebuilt from
+// the regressor's snapshot and factored by the copying Cholesky::factor.
+
+Matrix reference_gram(const GpSnapshot& s) {
+  const std::size_t n = s.x.rows();
+  const std::size_t d = s.x.cols();
+  Matrix z(n, d);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < d; ++j) {
+      const double scale = s.x_hi[j] > s.x_lo[j] ? s.x_hi[j] - s.x_lo[j] : 1.0;
+      z(i, j) = (s.x(i, j) - s.x_lo[j]) / scale;
+    }
+  }
+  Matrix k(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      k(i, j) = reference_kernel(s, z.row(i), z.row(j));
+      k(j, i) = k(i, j);
+    }
+    k(i, i) = (s.signal_variance + s.noise_variance) + s.jitter;
+  }
+  return k;
+}
+
+void expect_factor_of_reference_gram(const GpRegressor& gp,
+                                     const std::string& where) {
+  const GpSnapshot snap = gp.snapshot();
+  const auto want = linalg::Cholesky::factor(reference_gram(snap));
+  ASSERT_TRUE(want) << where;
+  EXPECT_TRUE(snap.l == want->lower()) << where;
+}
+
+TEST(GpGramOracle, FitFactorsTheReferenceGramBitForBit) {
+  std::mt19937_64 rng(41);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  Matrix x(40, 3);
+  Vector y(40);
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    for (std::size_t j = 0; j < x.cols(); ++j) x(i, j) = 1.0 + 9.0 * unit(rng);
+    y[i] = std::sin(x(i, 0)) + 0.3 * x(i, 1) - 0.05 * x(i, 2) * x(i, 2);
+  }
+  for (const KernelKind kind :
+       {KernelKind::kMatern52, KernelKind::kMatern32, KernelKind::kRbf}) {
+    for (const bool grid : {false, true}) {
+      GpConfig cfg;
+      cfg.kernel = kind;
+      cfg.optimize_hyperparams = grid;
+      cfg.threads = 1;
+      GpRegressor gp(cfg);
+      gp.fit(x, y);
+      expect_factor_of_reference_gram(
+          gp, std::string(to_string(kind)) + (grid ? " grid" : " frozen"));
+      EXPECT_EQ(gp.snapshot().jitter, 0.0);
+    }
+  }
+  // The jitter ladder: a duplicated leading pair at zero noise fails the
+  // plain factor, and the first rung's jitter sits on the diagonal.
+  GpConfig cfg;
+  cfg.optimize_hyperparams = false;
+  cfg.noise_variance = 0.0;
+  GpRegressor gp(cfg);
+  gp.fit(Matrix{{4.0}, {4.0}, {1.0}, {10.0}}, Vector{0.3, 0.3, 0.1, 0.2});
+  EXPECT_EQ(gp.snapshot().jitter, 1e-10);
+  expect_factor_of_reference_gram(gp, "jittered");
 }
 
 }  // namespace

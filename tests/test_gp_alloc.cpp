@@ -1,11 +1,13 @@
 // Pins the allocation-free posterior path: batched prediction, the in-place
-// windowed factor update and EI scoring. This binary replaces the global
-// operator new with a counting one, which is why it is not folded into
-// test_gp: the counter must see only the calls a test brackets.
+// windowed factor update and EI scoring, and the one n^2 buffer of a fit.
+// This binary replaces the global operator new with a counting one, which
+// is why it is not folded into test_gp: the counter must see only the
+// calls a test brackets.
 #include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <new>
 #include <random>
 #include <span>
@@ -13,6 +15,7 @@
 
 #include "bayesopt/bayes_opt.hpp"
 #include "gp/gp_regressor.hpp"
+#include "linalg/cholesky.hpp"
 
 #include <gtest/gtest.h>
 
@@ -20,6 +23,13 @@ namespace {
 
 std::atomic<std::size_t> g_allocations{0};
 std::atomic<std::size_t> g_bytes{0};
+// Blocks of at least g_big_bytes: how many were allocated, how many are
+// live (std::allocator frees them through the sized delete), and the most
+// that were live at once since a test last reset g_big_peak.
+std::atomic<std::size_t> g_big_bytes{std::numeric_limits<std::size_t>::max()};
+std::atomic<std::size_t> g_big_allocations{0};
+std::atomic<std::size_t> g_big_live{0};
+std::atomic<std::size_t> g_big_peak{0};
 
 }  // namespace
 
@@ -29,11 +39,22 @@ std::atomic<std::size_t> g_bytes{0};
 [[gnu::noinline]] void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   g_bytes.fetch_add(size, std::memory_order_relaxed);
+  if (size >= g_big_bytes.load(std::memory_order_relaxed)) {
+    g_big_allocations.fetch_add(1, std::memory_order_relaxed);
+    const std::size_t live =
+        g_big_live.fetch_add(1, std::memory_order_relaxed) + 1;
+    std::size_t peak = g_big_peak.load(std::memory_order_relaxed);
+    while (live > peak && !g_big_peak.compare_exchange_weak(peak, live)) {
+    }
+  }
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
 [[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+[[gnu::noinline]] void operator delete(void* p, std::size_t size) noexcept {
+  if (size >= g_big_bytes.load(std::memory_order_relaxed)) {
+    g_big_live.fetch_sub(1, std::memory_order_relaxed);
+  }
   std::free(p);
 }
 
@@ -62,22 +83,49 @@ double target(const double* x) {
   return s;
 }
 
-gp::GpRegressor windowed_gp(std::size_t n) {
+struct Data {
+  linalg::Matrix x;
+  linalg::Vector y;
+};
+
+/// Points first, ..., first + n - 1 of the Weyl sequence and their targets.
+Data weyl_data(std::size_t n, std::size_t first) {
+  Data d{linalg::Matrix(n, kDims), linalg::Vector(n)};
+  for (std::size_t i = 0; i < n; ++i) {
+    weyl_point(first + i, d.x.row(i).data());
+    d.y[i] = target(d.x.row(i).data());
+  }
+  return d;
+}
+
+gp::GpConfig frozen_config() {
   gp::GpConfig cfg;
   cfg.optimize_hyperparams = false;
   cfg.length_scale = 0.3;
   cfg.noise_variance = 1e-3;
+  return cfg;
+}
+
+gp::GpRegressor windowed_gp(std::size_t n) {
+  gp::GpConfig cfg = frozen_config();
   cfg.max_observations = static_cast<int>(n);
-  linalg::Matrix x(n, kDims);
-  linalg::Vector y(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    weyl_point(i, x.row(i).data());
-    y[i] = target(x.row(i).data());
-  }
+  const Data data = weyl_data(n, 0);
   gp::GpRegressor model(cfg);
-  model.fit(x, y);
+  model.fit(data.x, data.y);
   return model;
 }
+
+/// Counts blocks of at least n^2 doubles while in scope.
+class BigBlocks {
+ public:
+  explicit BigBlocks(std::size_t n) {
+    g_big_live = 0;
+    g_big_bytes = n * n * sizeof(double);
+  }
+  ~BigBlocks() { g_big_bytes = std::numeric_limits<std::size_t>::max(); }
+  BigBlocks(const BigBlocks&) = delete;
+  BigBlocks& operator=(const BigBlocks&) = delete;
+};
 
 TEST(GpAlloc, WarmPredictBatchAllocatesNothing) {
   const gp::GpRegressor model = windowed_gp(64);
@@ -110,6 +158,46 @@ TEST(GpAlloc, WindowedObserveAllocatesLessThanAQuarterOfTheFactor) {
   }
   EXPECT_EQ(model.fit_stats().incremental_updates, 40u);
   EXPECT_EQ(model.fit_stats().window_evictions, 40u);
+}
+
+TEST(GpAlloc, FrozenFitBuildsItsGramInItsOneFactorBuffer) {
+  constexpr std::size_t n = 256;
+  const Data first = weyl_data(n, 0);
+  const Data second = weyl_data(n, 1000);
+  const BigBlocks big(n);
+  std::size_t before = g_bytes.load();
+  { const linalg::Cholesky buffer(n); }
+  const std::size_t factor_bytes = g_bytes.load() - before;
+
+  gp::GpRegressor model(frozen_config());
+  // The second fit is a refit: the first fit's factor is live when it
+  // starts, and must be freed before the new buffer is allocated.
+  for (const Data* data : {&first, &second}) {
+    const std::size_t allocations = g_big_allocations.load();
+    before = g_bytes.load();
+    g_big_peak = g_big_live.load();
+    model.fit(data->x, data->y);
+    EXPECT_EQ(g_big_allocations.load() - allocations, 1u);
+    EXPECT_LT(g_bytes.load() - before, factor_bytes + factor_bytes / 4);
+    EXPECT_EQ(g_big_peak.load(), 1u);
+  }
+  EXPECT_EQ(model.fit_stats().full_fits, 2u);
+}
+
+TEST(GpAlloc, GridFitKeepsOneFactorBufferPerTask) {
+  constexpr std::size_t n = 256;
+  const Data data = weyl_data(n, 0);
+  const BigBlocks big(n);
+  gp::GpConfig cfg;
+  cfg.threads = 1;
+  gp::GpRegressor model(cfg);
+  const std::size_t allocations = g_big_allocations.load();
+  g_big_peak = 0;
+  model.fit(data.x, data.y);
+  // One buffer for each of the 12 length scales' 12 signal variances, one
+  // for the final factor, and at one thread never two at once.
+  EXPECT_LE(g_big_allocations.load() - allocations, 13u);
+  EXPECT_EQ(g_big_peak.load(), 1u);
 }
 
 TEST(BayesOptAlloc, SuggestAllocatesLessThanOncePerScoredCandidate) {

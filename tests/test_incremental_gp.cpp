@@ -230,19 +230,22 @@ TEST(IncrementalGp, ReoptimizeCadenceTriggersHyperparamRefit) {
 }
 
 TEST(IncrementalGp, JitteredFactorFallsBackToFullRefit) {
-  // Zero observation noise + a duplicated row force factor_with_jitter to
-  // apply jitter; a jittered factor must never be extended incrementally.
-  // The duplicate pair leads so the pivot residual is exactly 1 - 1 = 0,
-  // making the unjittered factorisation fail deterministically.
+  // Zero observation noise + a duplicated row force the fit's jitter
+  // ladder to apply jitter; a jittered factor must never be extended
+  // incrementally. The duplicate pair leads so the pivot residual is
+  // exactly 1 - 1 = 0, making the unjittered factorisation fail
+  // deterministically, and the ladder's first rung is enough.
   GpConfig cfg = frozen_config();
   cfg.noise_variance = 0.0;
   GpRegressor gp(cfg);
   Matrix x{{4.0}, {4.0}, {1.0}, {10.0}};
   Vector y{0.3, 0.3, 0.1, 0.2};
   gp.fit(x, y);
+  EXPECT_EQ(gp.snapshot().jitter, 1e-10);
   gp.observe(std::vector<double>{7.0}, 0.4);
   EXPECT_EQ(gp.fit_stats().jitter_refits, 1u);
   EXPECT_EQ(gp.fit_stats().incremental_updates, 0u);
+  EXPECT_EQ(gp.snapshot().jitter, 1e-10);
 }
 
 TEST(IncrementalGp, FailedFactorExtensionFallsBackToFullRefit) {
@@ -260,6 +263,8 @@ TEST(IncrementalGp, FailedFactorExtensionFallsBackToFullRefit) {
   EXPECT_EQ(gp.fit_stats().jitter_refits, 1u);
   EXPECT_EQ(gp.fit_stats().incremental_updates, 0u);
   EXPECT_EQ(gp.num_samples(), 4u);
+  // Rounding leaves the refit's Gram matrix factorable without jitter.
+  EXPECT_EQ(gp.snapshot().jitter, 0.0);
   // Still usable afterwards.
   EXPECT_TRUE(std::isfinite(gp.predict(std::vector<double>{5.0}).mean));
 }

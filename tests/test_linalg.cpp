@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <random>
+#include <span>
 
 #include <gtest/gtest.h>
 
@@ -155,18 +156,61 @@ TEST(Cholesky, IndefiniteReturnsNullopt) {
   EXPECT_FALSE(Cholesky::factor(a).has_value());
 }
 
+/// Fills a 2 x 2 buffer with the lower triangle of `a` plus `jitter` on
+/// the diagonal, as the GP's jitter ladder refills its buffer.
+void fill_2x2(Cholesky& c, const Matrix& a, double jitter) {
+  c.lower_row(0)[0] = a(0, 0) + jitter;
+  c.lower_row(1)[0] = a(1, 0);
+  c.lower_row(1)[1] = a(1, 1) + jitter;
+}
+
 TEST(Cholesky, JitterRecoversNearSingular) {
-  // Rank-one matrix: singular, needs jitter.
+  // Rank-one matrix: singular, needs jitter. A failed in-place attempt
+  // leaves a buffer that, refilled with jitter, factors.
   const Matrix a{{1.0, 1.0}, {1.0, 1.0}};
-  EXPECT_NO_THROW({
-    const Cholesky c = Cholesky::factor_with_jitter(a);
-    EXPECT_GT(c.lower()(1, 1), 0.0);
-  });
+  Cholesky c(2);
+  fill_2x2(c, a, 0.0);
+  EXPECT_FALSE(c.factor_in_place());
+  fill_2x2(c, a, 1e-10);
+  ASSERT_TRUE(c.factor_in_place());
+  EXPECT_GT(c.lower()(1, 1), 0.0);
 }
 
 TEST(Cholesky, JitterGivesUpOnNegativeDefinite) {
   const Matrix a{{-5.0, 0.0}, {0.0, -5.0}};
-  EXPECT_THROW(Cholesky::factor_with_jitter(a), std::runtime_error);
+  Cholesky c(2);
+  for (const double jitter : {0.0, 1e-10, 1e-6, 1e-2}) {
+    fill_2x2(c, a, jitter);
+    EXPECT_FALSE(c.factor_in_place()) << "jitter " << jitter;
+  }
+}
+
+TEST(Cholesky, InPlaceFactorMatchesCopyingFactor) {
+  // factor(a) is factor_in_place() on a copy of a's lower triangle; a
+  // buffer filled row by row gives the same bits, whatever lies above the
+  // diagonal of a.
+  std::mt19937_64 rng(17);
+  std::uniform_real_distribution<double> dist(-1.0, 1.0);
+  constexpr std::size_t n = 13;
+  Matrix b(n, n);
+  for (double& v : b.data()) v = dist(rng);
+  Matrix a = b * b.transposed();
+  a.add_diagonal(1.0);
+  Cholesky c(n);
+  EXPECT_EQ(c.size(), n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::span<double> row = c.lower_row(i);
+    ASSERT_EQ(row.size(), i + 1);
+    for (std::size_t j = 0; j <= i; ++j) row[j] = a(i, j);
+    for (std::size_t j = i + 1; j < n; ++j) a(i, j) = 1e300;  // never read
+  }
+  ASSERT_TRUE(c.factor_in_place());
+  const auto copied = Cholesky::factor(a);
+  ASSERT_TRUE(copied);
+  EXPECT_TRUE(c.lower() == copied->lower());
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(c.lower_row(i).back(), c.lower()(i, i)) << "row " << i;
+  }
 }
 
 TEST(Cholesky, SolveKnownSystem) {
