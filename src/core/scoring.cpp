@@ -1,6 +1,7 @@
 #include "core/scoring.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace autra::core {
@@ -10,8 +11,15 @@ double benefit_score(const runtime::Parallelism& current, double latency_ms,
   if (params.alpha < 0.0 || params.alpha > 1.0) {
     throw std::invalid_argument("benefit_score: alpha outside [0,1]");
   }
-  if (params.target_latency_ms <= 0.0) {
-    throw std::invalid_argument("benefit_score: non-positive latency target");
+  if (!std::isfinite(params.target_latency_ms) ||
+      params.target_latency_ms <= 0.0) {
+    throw std::invalid_argument(
+        "benefit_score: latency target not finite and positive");
+  }
+  // min(1, target / NaN) is 1: a NaN latency would score as meeting the
+  // target.
+  if (!std::isfinite(latency_ms)) {
+    throw std::invalid_argument("benefit_score: non-finite latency");
   }
   if (params.base.empty() || params.base.size() != current.size()) {
     throw std::invalid_argument(

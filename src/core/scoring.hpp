@@ -32,8 +32,9 @@ struct ScoreParams {
   runtime::Parallelism base;
 };
 
-/// Eq. 4. Throws std::invalid_argument on bad parameters or mismatched
-/// configuration size.
+/// Eq. 4. Throws std::invalid_argument on bad parameters (a latency target
+/// that is not finite and positive included), a non-finite latency, or
+/// mismatched configuration size.
 [[nodiscard]] double benefit_score(const runtime::Parallelism& current,
                                    double latency_ms,
                                    const ScoreParams& params);

@@ -187,8 +187,9 @@ void GpRegressor::choose_hyperparameters() {
     std::vector<double> decay(below.size());
     kernel->shape_and_decay(shape, decay);
     // One factor buffer, refilled with the lower triangle of K + noise I
-    // for each signal variance.
+    // for each signal variance, and one vector each solve overwrites.
     linalg::Cholesky k(n);
+    linalg::Vector alpha;
     for (std::size_t a = 0; a < g; ++a) {
       kernel->set_signal_variance(svs[a]);
       std::size_t p = 0;
@@ -199,9 +200,13 @@ void GpRegressor::choose_hyperparameters() {
         }
         row[i] = kernel->diagonal() + config_.noise_variance;
       }
-      log_mls[a * g + b] = k.factor_in_place()
-                               ? compute_log_ml(k, y_, k.solve(y_))
-                               : -std::numeric_limits<double>::infinity();
+      if (!k.factor_in_place()) {
+        log_mls[a * g + b] = -std::numeric_limits<double>::infinity();
+        continue;
+      }
+      alpha = y_;
+      k.solve_in_place(alpha);
+      log_mls[a * g + b] = compute_log_ml(k, y_, alpha);
     }
   });
 

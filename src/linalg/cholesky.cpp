@@ -323,25 +323,39 @@ void Cholesky::solve_lower_in_place(std::span<double> b,
 }
 
 Vector Cholesky::solve_upper(const Vector& b) const {
-  const std::size_t n = size();
-  if (b.size() != n) {
+  if (b.size() != size()) {
     throw std::invalid_argument("Cholesky::solve_upper: size mismatch");
   }
-  Vector x(n);
+  Vector x = b;
+  back_rows(x.data());
+  return x;
+}
+
+void Cholesky::back_rows(double* x) const noexcept {
+  const std::size_t n = size();
   for (std::size_t ii = n; ii-- > 0;) {
     // Column ii below the diagonal, one buffer row apart per entry.
     std::size_t at = (org_ + ii + 1) * stride_ + org_ + ii;
-    double s = b[ii];
+    double s = x[ii];
     for (std::size_t k = ii + 1; k < n; ++k, at += stride_) {
       s -= buf_[at] * x[k];
     }
     x[ii] = s / row(ii)[ii];
   }
-  return x;
+}
+
+void Cholesky::solve_in_place(std::span<double> b) const {
+  if (b.size() != size()) {
+    throw std::invalid_argument("Cholesky::solve: size mismatch");
+  }
+  forward_rows(size(), b.data());
+  back_rows(b.data());
 }
 
 Vector Cholesky::solve(const Vector& b) const {
-  return solve_upper(solve_lower(b));
+  Vector x = b;
+  solve_in_place(x);
+  return x;
 }
 
 double Cholesky::log_determinant() const noexcept {

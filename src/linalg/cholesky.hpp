@@ -88,6 +88,10 @@ class Cholesky {
   /// Solves the full system (L L^T) x = b.
   [[nodiscard]] Vector solve(const Vector& b) const;
 
+  /// solve() in place: `b` receives x, with the sums solve() forms, in the
+  /// same order. Throws std::invalid_argument unless b.size() == size().
+  void solve_in_place(std::span<double> b) const;
+
   /// log|A| = 2 * sum(log L_ii).
   [[nodiscard]] double log_determinant() const noexcept;
 
@@ -110,6 +114,11 @@ class Cholesky {
   /// Forward substitution of one right-hand side against rows [0, n):
   /// x[i] = (x[i] - sum_{k<i} L(i,k) x[k]) / L(i,i), each sum in ascending k.
   void forward_rows(std::size_t n, double* x) const noexcept;
+
+  /// Back substitution against L^T, in place over x[0, n):
+  /// x[i] = (x[i] - sum_{k>i} L(k,i) x[k]) / L(i,i), i from n - 1 down,
+  /// each sum in ascending k.
+  void back_rows(double* x) const noexcept;
 
   /// The Givens (update) or hyperbolic (downdate) sweep of L L^T +- v v^T,
   /// row by row; consumes `v`. Returns false, with the factor partly swept,

@@ -1,6 +1,5 @@
 #include "linalg/matrix.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 namespace autra::linalg {
@@ -32,22 +31,6 @@ double Matrix::at(std::size_t r, std::size_t c) const {
     throw std::out_of_range("Matrix::at: index out of range");
   }
   return (*this)(r, c);
-}
-
-Matrix Matrix::identity(std::size_t n) {
-  Matrix m(n, n);
-  for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
-  return m;
-}
-
-Matrix Matrix::transposed() const {
-  Matrix t(cols_, rows_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t c = 0; c < cols_; ++c) {
-      t(c, r) = (*this)(r, c);
-    }
-  }
-  return t;
 }
 
 Matrix Matrix::operator*(const Matrix& rhs) const {
@@ -131,11 +114,6 @@ void Matrix::drop_first_row() {
   --rows_;
 }
 
-void Matrix::add_diagonal(double v) noexcept {
-  const std::size_t n = rows_ < cols_ ? rows_ : cols_;
-  for (std::size_t i = 0; i < n; ++i) (*this)(i, i) += v;
-}
-
 double dot(std::span<const double> a, std::span<const double> b) {
   if (a.size() != b.size()) {
     throw std::invalid_argument("dot: length mismatch");
@@ -143,12 +121,6 @@ double dot(std::span<const double> a, std::span<const double> b) {
   double s = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i) s += a[i] * b[i];
   return s;
-}
-
-double norm2(std::span<const double> a) noexcept {
-  double s = 0.0;
-  for (double x : a) s += x * x;
-  return std::sqrt(s);
 }
 
 }  // namespace autra::linalg

@@ -55,11 +55,6 @@ class Matrix {
   [[nodiscard]] std::span<double> data() noexcept { return data_; }
   [[nodiscard]] std::span<const double> data() const noexcept { return data_; }
 
-  /// Identity matrix of size n.
-  [[nodiscard]] static Matrix identity(std::size_t n);
-
-  [[nodiscard]] Matrix transposed() const;
-
   /// Matrix product this * rhs. Throws std::invalid_argument on shape
   /// mismatch.
   [[nodiscard]] Matrix operator*(const Matrix& rhs) const;
@@ -73,9 +68,6 @@ class Matrix {
 
   [[nodiscard]] Matrix operator+(const Matrix& rhs) const;
   [[nodiscard]] Matrix operator-(const Matrix& rhs) const;
-
-  /// Adds `v` to every diagonal element (used for jitter / noise terms).
-  void add_diagonal(double v) noexcept;
 
   /// Appends one row; `values` must match cols() (any length is accepted on
   /// an empty matrix, which then adopts it as the column count). Throws
@@ -97,9 +89,6 @@ class Matrix {
 
 /// Dot product; throws std::invalid_argument on length mismatch.
 [[nodiscard]] double dot(std::span<const double> a, std::span<const double> b);
-
-/// Euclidean norm.
-[[nodiscard]] double norm2(std::span<const double> a) noexcept;
 
 /// Squared Euclidean distance between two equal-length vectors; throws
 /// std::invalid_argument on length mismatch. Inline: the Gram and

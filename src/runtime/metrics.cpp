@@ -1,6 +1,7 @@
 #include "runtime/metrics.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <map>
 #include <ostream>
@@ -9,6 +10,13 @@
 #include <string>
 
 namespace autra::runtime {
+namespace {
+
+bool same_bits(double a, double b) noexcept {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+}  // namespace
 
 MetricId MetricRegistry::intern(std::string_view name) {
   const auto it = index_.find(name);
@@ -51,6 +59,12 @@ const MetricStore::Series* MetricStore::series_ptr(MetricId id) const {
   return &series_[id.value()];
 }
 
+std::span<const double> MetricStore::held_times(const Series& s) const {
+  if (s.held() == 0) return {};
+  return std::span<const double>(columns_[s.column].times)
+      .subspan(s.time_at, s.held());
+}
+
 void MetricStore::record(MetricId id, double time, double value) {
   if (!id.valid() || id.value() >= series_.size()) {
     throw std::out_of_range("MetricStore::record: id not from this store");
@@ -60,36 +74,81 @@ void MetricStore::record(MetricId id, double time, double value) {
     return;
   }
   Series& s = series_[id.value()];
-  if (!s.times.empty() && time < s.times.back()) {
+  const std::size_t n = s.count();
+  if (n == 0) {
+    // A first point joins column 0: at its newest instant if that is this
+    // one, else at a new one.
+    if (columns_.empty()) columns_.emplace_back();
+    TimeColumn& joined = columns_.front();
+    ++joined.users;
+    s.column = 0;
+    s.time_at = joined.times.size();
+    if (s.time_at > 0 && same_bits(joined.times.back(), time)) --s.time_at;
+  }
+  // The column entry the new point's time goes to: shared when it already
+  // holds this instant, appended when the column ends there.
+  const std::size_t at = s.time_at + (n - s.head);
+  const std::vector<double>& times = columns_[s.column].times;
+  if (n > 0 && time < times[at - 1]) {
     throw std::invalid_argument("MetricStore::record: time went backwards for " +
                                 registry_.name(id));
   }
-  s.times.push_back(time);
+  if (at == times.size() || !same_bits(times[at], time)) {
+    if (at < times.size()) own_times(s);
+    columns_[s.column].times.push_back(time);
+  }
   s.values.push_back(value);
-  s.cumsum.push_back(s.cumsum.empty() ? value : s.cumsum.back() + value);
-  if (retention_) trim(s, *retention_);
+  s.run = n == 0 ? value : s.run + value;
+  if (n % kSumStride == 0) s.sums.push_back(s.run);
+  if (retention_) trim(s, time - *retention_);
 }
 
-void MetricStore::trim(Series& s, double retention) {
-  if (s.times.empty()) return;
-  // The newest point is always held: newest - R <= newest for any R >= 0.
-  const double cut = s.times.back() - retention;
-  std::size_t head = s.head;
-  while (s.times[head] < cut) ++head;
-  if (head == s.head) return;
-  s.cut_sum = s.cumsum[head - 1];
-  s.cut_time = s.times[head - 1];
-  s.head = head;
-  // Compact once the dropped prefix is at least as long as the held part:
-  // a compaction then moves no more points than were dropped since the
-  // last one.
-  constexpr std::size_t kMinCompact = 64;
-  if (head >= kMinCompact && 2 * head >= s.times.size()) {
-    const auto n = static_cast<std::ptrdiff_t>(head);
-    s.times.erase(s.times.begin(), s.times.begin() + n);
-    s.values.erase(s.values.begin(), s.values.begin() + n);
-    s.cumsum.erase(s.cumsum.begin(), s.cumsum.begin() + n);
-    s.head = 0;
+void MetricStore::own_times(Series& s) {
+  TimeColumn& column = columns_[s.column];
+  const auto first =
+      column.times.begin() + static_cast<std::ptrdiff_t>(s.time_at);
+  const auto last = first + static_cast<std::ptrdiff_t>(s.held());
+  if (column.users == 1) {
+    column.times.erase(last, column.times.end());
+    column.times.erase(column.times.begin(), first);
+  } else {
+    --column.users;
+    std::vector<double> own(first, last);
+    columns_.push_back({std::move(own), 1});
+    s.column = columns_.size() - 1;
+  }
+  s.time_at = 0;
+}
+
+void MetricStore::trim(Series& s, double cut) {
+  // The newest point is always held: cut <= its time.
+  const double* times = columns_[s.column].times.data() + s.time_at;
+  if (!(times[0] < cut)) return;
+  std::size_t dropped = 0;
+  do {
+    // The running sum through each dropped point, by the chain record()
+    // built it with.
+    const std::size_t point = s.head + dropped;
+    const double v = s.values[point - s.base];
+    s.cut_sum = point == 0 ? v : s.cut_sum + v;
+  } while (times[++dropped] < cut);
+  s.cut_time = times[dropped - 1];
+  s.head += dropped;
+  s.time_at += dropped;
+  // Compact once the dropped points fill a block and are at least as many
+  // as the held ones: a compaction then moves no more points than were
+  // dropped since the last one. Whole blocks go, so the kept sums stay
+  // aligned with the values.
+  const std::size_t stale = s.head - s.base;
+  if (stale >= kSumStride && 2 * stale >= s.values.size()) {
+    const std::size_t blocks = stale / kSumStride;
+    s.values.erase(s.values.begin(),
+                   s.values.begin() +
+                       static_cast<std::ptrdiff_t>(blocks * kSumStride));
+    s.sums.erase(s.sums.begin(),
+                 s.sums.begin() + static_cast<std::ptrdiff_t>(blocks));
+    s.base += blocks * kSumStride;
+    own_times(s);
   }
 }
 
@@ -100,20 +159,22 @@ void MetricStore::retain(double seconds) {
   }
   if (retention_ && *retention_ >= seconds) return;
   retention_ = seconds;
-  for (Series& s : series_) trim(s, seconds);
+  for (Series& s : series_) {
+    if (s.held() > 0) trim(s, held_times(s).back() - seconds);
+  }
 }
 
 std::size_t MetricStore::points_held() const noexcept {
   std::size_t n = 0;
-  for (const Series& s : series_) n += s.times.size() - s.head;
+  for (const Series& s : series_) n += s.held();
   return n;
 }
 
 MetricStore::SeriesView MetricStore::series(MetricId id) const {
   const Series* s = series_ptr(id);
   if (s == nullptr) return {};
-  return {std::span<const double>(s->times).subspan(s->head),
-          std::span<const double>(s->values).subspan(s->head)};
+  return {held_times(*s),
+          std::span<const double>(s->values).subspan(s->head - s->base)};
 }
 
 std::pair<std::size_t, std::size_t> MetricStore::range(MetricId id, double t0,
@@ -126,42 +187,55 @@ std::pair<std::size_t, std::size_t> MetricStore::range(MetricId id, double t0,
                          " reaches points dropped up to t=" +
                          std::to_string(s->cut_time));
   }
-  const auto held = s->times.begin() + static_cast<std::ptrdiff_t>(s->head);
-  const auto first = std::lower_bound(held, s->times.end(), t0);
-  const auto last = std::upper_bound(first, s->times.end(), t1);
-  return {static_cast<std::size_t>(first - held),
-          static_cast<std::size_t>(last - held)};
+  const std::span<const double> times = held_times(*s);
+  const auto first = std::lower_bound(times.begin(), times.end(), t0);
+  const auto last = std::upper_bound(first, times.end(), t1);
+  return {static_cast<std::size_t>(first - times.begin()),
+          static_cast<std::size_t>(last - times.begin())};
+}
+
+double MetricStore::running_sum(const Series& s, std::size_t point) {
+  const std::size_t i = point - s.base;
+  const std::size_t kept = i / kSumStride;
+  double sum = s.sums[kept];
+  for (std::size_t k = kept * kSumStride + 1; k <= i; ++k) sum += s.values[k];
+  return sum;
+}
+
+double MetricStore::window_sum(const Series& s, std::size_t first,
+                               std::size_t last) {
+  // The sum below the first held point is the one kept at the cut (0
+  // while nothing was dropped).
+  const double below =
+      first == 0 ? s.cut_sum : running_sum(s, s.head + first - 1);
+  return running_sum(s, s.head + last - 1) - below;
 }
 
 std::optional<double> MetricStore::sum(MetricId id, double t0,
                                        double t1) const {
-  const Series* s = series_ptr(id);
-  if (s == nullptr) return std::nullopt;
   const auto [first, last] = range(id, t0, t1);
   if (first == last) return std::nullopt;
-  // Held point i sits at cumsum[head + i]; the sum below the first held
-  // point is the one kept at the cut (0 while nothing was dropped).
-  const double below = first == 0 ? s->cut_sum : s->cumsum[s->head + first - 1];
-  return s->cumsum[s->head + last - 1] - below;
+  return window_sum(*series_ptr(id), first, last);
 }
 
 std::optional<double> MetricStore::mean(MetricId id, double t0,
                                         double t1) const {
   const auto [first, last] = range(id, t0, t1);
   if (first == last) return std::nullopt;
-  return *sum(id, t0, t1) / static_cast<double>(last - first);
+  return window_sum(*series_ptr(id), first, last) /
+         static_cast<double>(last - first);
 }
 
 std::optional<MetricPoint> MetricStore::last(MetricId id) const {
   const Series* s = series_ptr(id);
-  if (s == nullptr || s->times.size() == s->head) return std::nullopt;
-  return MetricPoint{s->times.back(), s->values.back()};
+  if (s == nullptr || s->held() == 0) return std::nullopt;
+  return MetricPoint{held_times(*s).back(), s->values.back()};
 }
 
 std::vector<std::string> MetricStore::series_names() const {
   std::vector<std::string> names;
   for (std::size_t i = 0; i < series_.size(); ++i) {
-    if (series_[i].times.size() > series_[i].head) {
+    if (series_[i].held() > 0) {
       names.push_back(registry_.name(MetricId(static_cast<std::uint32_t>(i))));
     }
   }
@@ -171,12 +245,13 @@ std::vector<std::string> MetricStore::series_names() const {
 
 bool MetricStore::has_series(const std::string& name) const {
   const Series* s = series_ptr(find(name));
-  return s != nullptr && s->times.size() > s->head;
+  return s != nullptr && s->held() > 0;
 }
 
 void MetricStore::clear() {
   registry_.clear();
   series_.clear();
+  columns_.clear();
   nonfinite_dropped_ = 0;
 }
 

@@ -6,11 +6,12 @@
 // construction); every subsequent write is an id-indexed vector append —
 // zero string construction, zero map lookups. Reads keep a string-keyed
 // API for cold paths (tests, CSV export), while policy-interval consumers
-// resolve ids once and read incrementally maintained window sums
-// (per-series cumulative sums make a window mean two binary searches plus
-// a subtraction, never a copy). A store can be told how far back its
-// readers reach (MetricStore::retain), and then keeps only that much of
-// each series.
+// resolve ids once and read window sums rebuilt from a running sum the
+// store keeps at every 64th point (a window mean is two binary searches
+// and at most 126 additions, never a copy). Series written at the same
+// instants share one time column, so a point costs one double. A store
+// can be told how far back its readers reach (MetricStore::retain), and
+// then keeps only that much of each series.
 #pragma once
 
 #include <cstdint>
@@ -103,8 +104,19 @@ class HistoryTrimmed : public std::out_of_range {
 };
 
 /// In-memory time-series store — the InfluxDB stand-in of the MAPE loop's
-/// Monitor stage. Per-series storage is columnar (times / values /
-/// cumulative sums in separate contiguous arrays).
+/// Monitor stage.
+///
+/// Layout: a series stores its values only, in one contiguous array. Its
+/// times live in a time column that every series recorded at the same
+/// instants shares: a record() whose time equals, bit for bit, the column's
+/// entry at the series' next position shares that entry, and the first
+/// series to reach a new instant appends it. A series whose time differs
+/// from a column others read copies its times into a column of its own,
+/// once, and appends there from then on. Window sums come from the running
+/// sum (previous + value, the first point's sum being the value itself)
+/// that record() keeps at every 64th point: sum() rebuilds the running sum
+/// at an index with the same chain of additions from the nearest kept one,
+/// so every window sum and mean is the one a per-point running sum gives.
 ///
 /// Retention: by default every point is kept. After retain(R), each series
 /// holds only its points with time >= (its newest time - R), plus the
@@ -113,9 +125,10 @@ class HistoryTrimmed : public std::out_of_range {
 /// doubles an unbounded store would, and series() the same trailing
 /// points. A window [t0, t1] with t0 <= t1 that starts at or before the
 /// newest dropped point throws HistoryTrimmed. Dropping advances a
-/// per-series head index, and the columns are compacted once at least half
-/// of them (and at least 64 points) is dropped, so a record() stays
-/// amortised O(1).
+/// per-series head index. Once the dropped points fill at least one
+/// 64-point block and half of the stored values, the series erases its
+/// dropped whole blocks and moves its held times into a column of its own,
+/// so a record() stays amortised O(1).
 class MetricStore final : public MetricSink {
  public:
   // --- id-based hot path -------------------------------------------------
@@ -143,7 +156,9 @@ class MetricStore final : public MetricSink {
   [[nodiscard]] std::size_t points_held() const noexcept;
 
   /// Columnar view of the points one series holds; empty spans for an
-  /// invalid/unknown id.
+  /// invalid/unknown id. A view is valid until the next record() into the
+  /// same store, into any series: the times span points into a column that
+  /// other series append to.
   struct SeriesView {
     std::span<const double> times;
     std::span<const double> values;
@@ -157,8 +172,9 @@ class MetricStore final : public MetricSink {
                                                           double t0,
                                                           double t1) const;
 
-  /// Sum over [t0, t1] from the cumulative sums (no iteration, no copy);
-  /// nullopt when no points fall in range. Throws like range().
+  /// Sum over [t0, t1] from the kept running sums (at most 2 x 63
+  /// additions, no copy); nullopt when no points fall in range. Throws like
+  /// range().
   [[nodiscard]] std::optional<double> sum(MetricId id, double t0,
                                           double t1) const;
   [[nodiscard]] std::optional<double> mean(MetricId id, double t0,
@@ -186,28 +202,60 @@ class MetricStore final : public MetricSink {
                  std::span<const std::string> series = {}) const;
 
  private:
-  struct Series {
+  /// record() keeps the running sum of every kSumStride-th point.
+  static constexpr std::size_t kSumStride = 64;
+
+  struct TimeColumn {
     std::vector<double> times;
+    /// Series whose held times lie in this column.
+    std::size_t users = 0;
+  };
+
+  /// Points are numbered from 0 in the order the series was given them,
+  /// dropped ones included.
+  struct Series {
+    /// Values of points base, base + 1, ...; base is a multiple of
+    /// kSumStride (compaction erases whole blocks).
+    std::size_t base = 0;
     std::vector<double> values;
-    /// Running sum of every value the series was ever given, dropped ones
-    /// included, maintained per record() so any window sum is O(log n).
-    std::vector<double> cumsum;
-    /// Index of the first held point; the ones before it are dropped and
+    /// sums[j]: running sum through point base + j * kSumStride.
+    std::vector<double> sums;
+    /// Running sum through the newest point.
+    double run = 0.0;
+    /// Number of the first held point; the ones before it are dropped and
     /// wait for the next compaction.
     std::size_t head = 0;
+    /// The held times are columns_[column].times[time_at, time_at + held).
+    std::size_t column = 0;
+    std::size_t time_at = 0;
     /// Running sum and time of the newest dropped point (0 and -infinity
     /// while none is dropped).
     double cut_sum = 0.0;
     double cut_time = -std::numeric_limits<double>::infinity();
+
+    [[nodiscard]] std::size_t count() const noexcept {
+      return base + values.size();
+    }
+    [[nodiscard]] std::size_t held() const noexcept { return count() - head; }
   };
 
   [[nodiscard]] const Series* series_ptr(MetricId id) const;
-  /// Drops the points of `s` older than its newest time minus
-  /// `retention`, then compacts if enough of the columns is dropped.
-  static void trim(Series& s, double retention);
+  [[nodiscard]] std::span<const double> held_times(const Series& s) const;
+  /// Running sum through point `point` (base <= point < count()).
+  [[nodiscard]] static double running_sum(const Series& s, std::size_t point);
+  /// Sum of held points [first, last) (first < last).
+  [[nodiscard]] static double window_sum(const Series& s, std::size_t first,
+                                         std::size_t last);
+  /// Leaves `s` alone in a column that holds just its held times.
+  void own_times(Series& s);
+  /// Drops the held points of `s` with time < `cut` (its newest time minus
+  /// the retention), then compacts if enough of the series is dropped.
+  void trim(Series& s, double cut);
 
   MetricRegistry registry_;
   std::vector<Series> series_;
+  /// Column 0 is where a series' first point goes; it is created then.
+  std::vector<TimeColumn> columns_;
   std::optional<double> retention_;
   std::uint64_t nonfinite_dropped_ = 0;
 };

@@ -15,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include "linalg_helpers.hpp"
+
 namespace autra::gp {
 
 // gtest prints a parameter it has no printer for as raw object bytes, and
@@ -143,7 +145,7 @@ TEST(Kernel, GramIsPositiveDefiniteWithJitter) {
         EXPECT_NEAR(g(i, j), g(j, i), 1e-14) << to_string(kind);
       }
     }
-    g.add_diagonal(1e-8);
+    linalg::test_util::add_diagonal(g, 1e-8);
     EXPECT_TRUE(linalg::Cholesky::factor(g).has_value()) << to_string(kind);
   }
 }

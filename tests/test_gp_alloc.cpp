@@ -200,6 +200,21 @@ TEST(GpAlloc, GridFitKeepsOneFactorBufferPerTask) {
   EXPECT_EQ(g_big_peak.load(), 1u);
 }
 
+TEST(GpAlloc, GridFitSolvesIntoOneScratchVectorPerTask) {
+  // A 12 x 12 grid fit at one thread: each length scale's task allocates
+  // its kernel, shapes, factor buffer and one vector every signal
+  // variance's solve overwrites, never a vector per solve.
+  for (const std::size_t n : {24u, 64u, 256u}) {
+    const Data data = weyl_data(n, 0);
+    gp::GpConfig cfg;
+    cfg.threads = 1;
+    gp::GpRegressor model(cfg);
+    const std::size_t before = g_allocations.load();
+    model.fit(data.x, data.y);
+    EXPECT_LE(g_allocations.load() - before, 75u) << "n = " << n;
+  }
+}
+
 TEST(BayesOptAlloc, SuggestAllocatesLessThanOncePerScoredCandidate) {
   const bo::SearchSpace space(8, 1, 20);
   bo::BayesOptConfig cfg;

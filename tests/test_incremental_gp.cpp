@@ -15,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include "linalg_helpers.hpp"
+
 namespace autra::gp {
 namespace {
 
@@ -115,8 +117,8 @@ TEST(IncrementalGp, DowndateUpdateRoundTripRestoresFactor) {
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = 0; j < n; ++j) b(i, j) = u(rng);
     }
-    Matrix a = b * b.transposed();
-    a.add_diagonal(static_cast<double>(n));
+    Matrix a = b * linalg::test_util::transposed(b);
+    linalg::test_util::add_diagonal(a, static_cast<double>(n));
     auto chol = linalg::Cholesky::factor(a);
     ASSERT_TRUE(chol.has_value());
     const Matrix before = chol->lower();

@@ -8,8 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include "linalg_helpers.hpp"
+
 namespace autra::linalg {
 namespace {
+
+using test_util::add_diagonal;
+using test_util::identity;
+using test_util::norm2;
+using test_util::transposed;
 
 TEST(Matrix, DefaultIsEmpty) {
   Matrix m;
@@ -45,7 +52,7 @@ TEST(Matrix, AtBoundsChecked) {
 }
 
 TEST(Matrix, Identity) {
-  const Matrix i = Matrix::identity(3);
+  const Matrix i = identity(3);
   for (std::size_t r = 0; r < 3; ++r) {
     for (std::size_t c = 0; c < 3; ++c) {
       EXPECT_DOUBLE_EQ(i(r, c), r == c ? 1.0 : 0.0);
@@ -55,7 +62,7 @@ TEST(Matrix, Identity) {
 
 TEST(Matrix, Transposed) {
   Matrix m{{1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}};
-  const Matrix t = m.transposed();
+  const Matrix t = transposed(m);
   EXPECT_EQ(t.rows(), 3u);
   EXPECT_EQ(t.cols(), 2u);
   EXPECT_DOUBLE_EQ(t(2, 1), 6.0);
@@ -113,7 +120,7 @@ TEST(Matrix, AddShapeMismatchThrows) {
 
 TEST(Matrix, AddDiagonal) {
   Matrix a(3, 3, 1.0);
-  a.add_diagonal(0.5);
+  add_diagonal(a, 0.5);
   EXPECT_DOUBLE_EQ(a(0, 0), 1.5);
   EXPECT_DOUBLE_EQ(a(0, 1), 1.0);
 }
@@ -194,8 +201,8 @@ TEST(Cholesky, InPlaceFactorMatchesCopyingFactor) {
   constexpr std::size_t n = 13;
   Matrix b(n, n);
   for (double& v : b.data()) v = dist(rng);
-  Matrix a = b * b.transposed();
-  a.add_diagonal(1.0);
+  Matrix a = b * transposed(b);
+  add_diagonal(a, 1.0);
   Cholesky c(n);
   EXPECT_EQ(c.size(), n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -225,7 +232,7 @@ TEST(Cholesky, SolveKnownSystem) {
 }
 
 TEST(Cholesky, SolveSizeMismatchThrows) {
-  const auto c = Cholesky::factor(Matrix::identity(2));
+  const auto c = Cholesky::factor(identity(2));
   ASSERT_TRUE(c);
   EXPECT_THROW(c->solve(Vector{1.0, 2.0, 3.0}), std::invalid_argument);
   EXPECT_THROW(c->solve_lower(Vector{1.0}), std::invalid_argument);
@@ -233,13 +240,13 @@ TEST(Cholesky, SolveSizeMismatchThrows) {
 }
 
 TEST(Cholesky, LogDeterminantIdentity) {
-  const auto c = Cholesky::factor(Matrix::identity(4));
+  const auto c = Cholesky::factor(identity(4));
   ASSERT_TRUE(c);
   EXPECT_NEAR(c->log_determinant(), 0.0, 1e-12);
 }
 
 TEST(Cholesky, LogDeterminantDiagonal) {
-  Matrix a = Matrix::identity(3);
+  Matrix a = identity(3);
   a(0, 0) = 2.0;
   a(1, 1) = 3.0;
   a(2, 2) = 4.0;
@@ -260,8 +267,8 @@ TEST_P(CholeskyProperty, RandomSpdSolveResidualSmall) {
   for (std::size_t r = 0; r < b.rows(); ++r) {
     for (std::size_t c = 0; c < b.cols(); ++c) b(r, c) = dist(rng);
   }
-  Matrix a = b * b.transposed();
-  a.add_diagonal(1.0);
+  Matrix a = b * transposed(b);
+  add_diagonal(a, 1.0);
 
   Vector rhs(static_cast<std::size_t>(n));
   for (double& v : rhs) v = dist(rng);
@@ -290,8 +297,8 @@ Matrix random_spd(std::mt19937_64& rng, std::size_t n, double ridge) {
   for (std::size_t r = 0; r < n; ++r) {
     for (std::size_t c = 0; c < n; ++c) b(r, c) = dist(rng);
   }
-  Matrix a = b * b.transposed();
-  a.add_diagonal(ridge);
+  Matrix a = b * transposed(b);
+  add_diagonal(a, ridge);
   return a;
 }
 
@@ -398,7 +405,7 @@ INSTANTIATE_TEST_SUITE_P(Sizes, CholeskyRank1Property,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
 
 TEST(CholeskyRank1, NonPositiveDowndateThrowsAndPreservesFactor) {
-  Matrix a = Matrix::identity(3);
+  Matrix a = identity(3);
   auto chol = Cholesky::factor(a);
   ASSERT_TRUE(chol);
   const Matrix before = chol->lower();
@@ -417,7 +424,7 @@ TEST(CholeskyRank1, NonPositiveDowndateThrowsAndPreservesFactor) {
 }
 
 TEST(CholeskyRank1, NonPositiveAppendRowThrowsAndPreservesFactor) {
-  auto chol = Cholesky::factor(Matrix::identity(2));
+  auto chol = Cholesky::factor(identity(2));
   ASSERT_TRUE(chol);
   const Matrix before = chol->lower();
   // diag <= |cross|^2 makes the Schur complement non-positive.
@@ -431,18 +438,18 @@ TEST(CholeskyRank1, NonPositiveAppendRowThrowsAndPreservesFactor) {
 }
 
 TEST(CholeskyRank1, SizeAndStateValidation) {
-  auto chol = Cholesky::factor(Matrix::identity(2));
+  auto chol = Cholesky::factor(identity(2));
   ASSERT_TRUE(chol);
   EXPECT_THROW(chol->update(Vector{1.0}), std::invalid_argument);
   EXPECT_THROW(chol->downdate(Vector{1.0, 2.0, 3.0}), std::invalid_argument);
   EXPECT_THROW(chol->append_row(Vector{1.0}, 2.0), std::invalid_argument);
 
-  auto one = Cholesky::factor(Matrix::identity(1));
+  auto one = Cholesky::factor(identity(1));
   ASSERT_TRUE(one);
   EXPECT_THROW(one->drop_first(), std::logic_error);
 
   EXPECT_THROW(Cholesky::from_lower(Matrix(2, 3)), std::invalid_argument);
-  Matrix bad = Matrix::identity(2);
+  Matrix bad = identity(2);
   bad(1, 1) = 0.0;
   EXPECT_THROW(Cholesky::from_lower(bad), std::invalid_argument);
 }

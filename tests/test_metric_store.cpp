@@ -1,19 +1,25 @@
 // Unit tests for the interned-id metrics pipeline: the registry, the
 // columnar MetricStore, its window-query boundary behaviour, its retention
-// horizon, and the CSV export corner cases.
+// horizon, the CSV export corner cases, and its agreement with the
+// three-column reference layout.
 #include "runtime/metrics.hpp"
 
 #include <algorithm>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <optional>
 #include <random>
+#include <span>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "three_column_store.hpp"
 
 namespace autra::runtime {
 namespace {
@@ -281,6 +287,287 @@ TEST(MetricStoreRetention, DeclarationsCombineByMax) {
   const MetricId again = cleared.resolve("s");
   for (int t = 0; t <= 100; ++t) cleared.record(again, t, 1.0);
   EXPECT_EQ(cleared.points_held(), 6u);
+}
+
+// --- Agreement with the three-column layout --------------------------------
+
+struct Write {
+  std::size_t series = 0;
+  double time = 0.0;
+  double value = 0.0;
+};
+
+/// A random stream over five series. Series 0-2 are written at every
+/// instant in lockstep, sometimes in shuffled order; series 3 skips some
+/// instants and repeats some timestamps; series 4 joins a third of the way
+/// in and sometimes writes just after the shared instant. Instants are
+/// irregular and sometimes repeat; values include -0.0 and non-finite
+/// points, and some times are NaN.
+std::vector<Write> random_stream(std::uint64_t seed, int instants) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  const auto value = [&] {
+    const double roll = unit(rng);
+    if (roll < 0.03) return -0.0;
+    if (roll < 0.04) return kNaN;
+    if (roll < 0.05) return -kInf;
+    return 100.0 * (unit(rng) - 0.3);
+  };
+  std::vector<Write> out;
+  double t = 0.0;
+  double late_clock = 0.0;  // Series 4's newest time.
+  std::vector<std::size_t> order = {0, 1, 2, 3, 4};
+  for (int i = 0; i < instants; ++i) {
+    if (unit(rng) < 0.9) t += 0.25 + 1.5 * unit(rng);
+    if (unit(rng) < 0.2) std::shuffle(order.begin(), order.end(), rng);
+    for (const std::size_t k : order) {
+      if (k == 3 && unit(rng) < 0.15) continue;
+      if (k == 4 && i < instants / 3) continue;
+      double time = t;
+      if (k == 4) {
+        if (unit(rng) < 0.05) time += 0.2 * unit(rng);
+        time = late_clock = std::max(time, late_clock);
+      }
+      if (unit(rng) < 0.01) time = kNaN;
+      out.push_back({k, time, value()});
+      if (k == 3 && unit(rng) < 0.1) out.push_back({k, time, value()});
+    }
+  }
+  return out;
+}
+
+std::string bits(std::optional<double> v) {
+  return v ? std::to_string(std::bit_cast<std::uint64_t>(*v)) : "none";
+}
+
+/// Every window read of [t0, t1], as text: index range, sum and mean, or
+/// the HistoryTrimmed each throws.
+template <typename Store>
+std::string window_reads(const Store& db, MetricId id, double t0, double t1) {
+  std::string out;
+  try {
+    const auto [first, last] = db.range(id, t0, t1);
+    out += std::to_string(first) + ".." + std::to_string(last);
+  } catch (const HistoryTrimmed&) {
+    out += "trimmed";
+  }
+  try {
+    out += " sum " + bits(db.sum(id, t0, t1));
+  } catch (const HistoryTrimmed&) {
+    out += " sum trimmed";
+  }
+  try {
+    out += " mean " + bits(db.mean(id, t0, t1));
+  } catch (const HistoryTrimmed&) {
+    out += " mean trimmed";
+  }
+  return out;
+}
+
+bool same_doubles(std::span<const double> a, std::span<const double> b) {
+  return std::ranges::equal(std::as_bytes(a), std::as_bytes(b));
+}
+
+template <typename Store>
+std::string csv(const Store& db) {
+  std::ostringstream out;
+  db.write_csv(out);
+  return out.str();
+}
+
+/// Compares every read of the two stores; `rng` picks the windows.
+::testing::AssertionResult same_reads(const MetricStore& db,
+                                      const oracle::ThreeColumnStore& ref,
+                                      std::mt19937_64& rng) {
+  if (db.points_held() != ref.points_held() ||
+      db.nonfinite_dropped() != ref.nonfinite_dropped()) {
+    return ::testing::AssertionFailure()
+           << "held " << db.points_held() << " vs " << ref.points_held()
+           << ", non-finite " << db.nonfinite_dropped() << " vs "
+           << ref.nonfinite_dropped();
+  }
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  for (std::uint32_t i = 0; i < db.registry().size(); ++i) {
+    const MetricId id(i);
+    const MetricStore::SeriesView a = db.series(id);
+    const MetricStore::SeriesView b = ref.series(id);
+    if (!same_doubles(a.times, b.times) || !same_doubles(a.values, b.values)) {
+      return ::testing::AssertionFailure() << "series " << i << " differs";
+    }
+    const auto la = db.last(id);
+    const auto lb = ref.last(id);
+    if (la.has_value() != lb.has_value() ||
+        (la && (!same_bits(la->time, lb->time) ||
+                !same_bits(la->value, lb->value)))) {
+      return ::testing::AssertionFailure() << "last() of " << i << " differs";
+    }
+    if (b.times.empty()) continue;
+    const double front = b.times.front();
+    const double back = b.times.back();
+    const double span = back - front + 2.0;
+    std::vector<std::pair<double, double>> windows = {
+        {front, back}, {back, back}, {back - 1.0, back}, {front - 1.0, back}};
+    for (int w = 0; w < 6; ++w) {
+      const double t0 = front - 1.0 + span * unit(rng);
+      windows.emplace_back(t0, t0 + (span * unit(rng) - 1.0));
+    }
+    for (const auto& [t0, t1] : windows) {
+      const std::string got = window_reads(db, id, t0, t1);
+      const std::string want = window_reads(ref, id, t0, t1);
+      if (got != want) {
+        return ::testing::AssertionFailure()
+               << "series " << i << " window [" << t0 << ", " << t1
+               << "]: " << got << " vs " << want;
+      }
+    }
+  }
+  const std::string got = csv(db);
+  const std::string want = csv(ref);
+  if (got != want) return ::testing::AssertionFailure() << "write_csv differs";
+  return ::testing::AssertionSuccess();
+}
+
+/// When retention is declared: before the stream, midway through it, or
+/// never (nullopt).
+struct RetentionCase {
+  std::optional<double> before;
+  std::optional<double> midway;
+};
+
+class MetricStoreOracle : public ::testing::TestWithParam<RetentionCase> {};
+
+/// "Never", "Before3_5", "Midway90", "Before2Midway30", ...
+std::string retention_case_name(
+    const ::testing::TestParamInfo<RetentionCase>& info) {
+  const auto part = [](const char* when, std::optional<double> horizon) {
+    if (!horizon) return std::string();
+    std::ostringstream out;
+    out << when << *horizon;
+    std::string s = out.str();
+    std::replace(s.begin(), s.end(), '.', '_');
+    return s;
+  };
+  const std::string name =
+      part("Before", info.param.before) + part("Midway", info.param.midway);
+  return name.empty() ? "Never" : name;
+}
+
+TEST_P(MetricStoreOracle, EveryReadMatchesTheThreeColumnLayout) {
+  // After every write both layouts answer every read with the same doubles
+  // and throw HistoryTrimmed on the same windows.
+  const RetentionCase c = GetParam();
+  const std::uint64_t seed = std::bit_cast<std::uint64_t>(
+      c.before.value_or(-1.0) + 3.0 * c.midway.value_or(-1.0));
+  const std::vector<Write> stream = random_stream(seed, 240);
+  MetricStore db;
+  oracle::ThreeColumnStore ref;
+  if (c.before) {
+    db.retain(*c.before);
+    ref.retain(*c.before);
+  }
+  std::vector<MetricId> ids;
+  for (const char* name : {"s0", "s1", "s2", "s3", "s4"}) {
+    ids.push_back(db.resolve(name));
+    ASSERT_EQ(ref.resolve(name), ids.back());
+  }
+  std::mt19937_64 rng(seed);
+  for (std::size_t step = 0; step < stream.size(); ++step) {
+    if (c.midway && step == stream.size() / 2) {
+      db.retain(*c.midway);
+      ref.retain(*c.midway);
+      ASSERT_TRUE(same_reads(db, ref, rng)) << "after retain";
+    }
+    const Write& w = stream[step];
+    db.record(ids[w.series], w.time, w.value);
+    ref.record(ids[w.series], w.time, w.value);
+    ASSERT_TRUE(same_reads(db, ref, rng)) << "after write " << step;
+  }
+  EXPECT_GT(db.nonfinite_dropped(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Retention, MetricStoreOracle,
+    ::testing::Values(RetentionCase{std::nullopt, std::nullopt},
+                      RetentionCase{0.0, std::nullopt},
+                      RetentionCase{3.5, std::nullopt},
+                      RetentionCase{40.0, std::nullopt},
+                      RetentionCase{std::nullopt, 0.0},
+                      RetentionCase{std::nullopt, 7.0},
+                      RetentionCase{std::nullopt, 90.0},
+                      RetentionCase{2.0, 30.0}),
+    retention_case_name);
+
+TEST(MetricStoreLayout, ClearStartsBothLayoutsOver) {
+  MetricStore db;
+  oracle::ThreeColumnStore ref;
+  db.retain(5.0);
+  ref.retain(5.0);
+  std::mt19937_64 rng(3);
+  for (int round = 0; round < 2; ++round) {
+    std::vector<MetricId> ids;
+    for (const char* name : {"s0", "s1", "s2", "s3", "s4"}) {
+      ids.push_back(db.resolve(name));
+      ASSERT_EQ(ref.resolve(name), ids.back());
+    }
+    for (const Write& w : random_stream(100 + round, 120)) {
+      db.record(ids[w.series], w.time, w.value);
+      ref.record(ids[w.series], w.time, w.value);
+      ASSERT_TRUE(same_reads(db, ref, rng));
+    }
+    db.clear();
+    ref.clear();
+    ASSERT_TRUE(same_reads(db, ref, rng));
+  }
+}
+
+TEST(MetricStoreLayout, NegativeZeroKeepsItsSignInEveryWindowSum) {
+  // The first point's running sum is the value itself, not 0.0 + value;
+  // so is the cut's when retention drops the first point.
+  for (const std::optional<double> horizon :
+       {std::optional<double>(), std::optional<double>(10.0)}) {
+    MetricStore db;
+    oracle::ThreeColumnStore ref;
+    if (horizon) {
+      db.retain(*horizon);
+      ref.retain(*horizon);
+    }
+    const MetricId id = db.resolve("z");
+    ref.resolve("z");
+    std::mt19937_64 rng(5);
+    for (int t = 0; t < 200; ++t) {
+      db.record(id, t, -0.0);
+      ref.record(id, t, -0.0);
+      ASSERT_TRUE(same_reads(db, ref, rng)) << "t = " << t;
+    }
+    if (!horizon) {
+      EXPECT_TRUE(std::signbit(*db.sum(id, 0.0, 199.0)));
+    }
+  }
+}
+
+TEST(MetricStoreLayout, SharedInstantsAreMatchedBitForBit) {
+  // Series b is stamped -0.0 where a and c are stamped 0.0: -0.0 == 0.0,
+  // but b must read back -0.0 and the others 0.0.
+  MetricStore db;
+  oracle::ThreeColumnStore ref;
+  std::mt19937_64 rng(9);
+  std::vector<MetricId> ids;
+  for (const char* name : {"a", "b", "c"}) {
+    ids.push_back(db.resolve(name));
+    ref.resolve(name);
+  }
+  for (const double time : {-1.0, 0.0, 1.0}) {
+    for (const MetricId id : ids) {
+      const double stamp = time == 0.0 && id == ids[1] ? -0.0 : time;
+      db.record(id, stamp, 1.0);
+      ref.record(id, stamp, 1.0);
+      ASSERT_TRUE(same_reads(db, ref, rng));
+    }
+  }
+  EXPECT_TRUE(std::signbit(db.series(ids[1]).times[1]));
+  EXPECT_FALSE(std::signbit(db.series(ids[2]).times[1]));
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include "core/scoring.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -73,6 +74,27 @@ TEST(Scoring, Validation) {
   ScoreParams bad = params();
   bad.alpha = 1.5;
   EXPECT_THROW(benefit_score({1, 2, 3}, 50.0, bad), std::invalid_argument);
+}
+
+TEST(Scoring, NonFiniteLatencyOrTargetThrows) {
+  // min(1, target / NaN) would be 1: a NaN latency must not score as
+  // meeting the target (100 ms scores 1.0 and 400 ms 0.75 here).
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const ScoreParams p{.target_latency_ms = 200.0, .alpha = 0.5, .base = {2, 2}};
+  EXPECT_DOUBLE_EQ(benefit_score({2, 2}, 100.0, p), 1.0);
+  EXPECT_DOUBLE_EQ(benefit_score({2, 2}, 400.0, p), 0.75);
+  for (const double bad : {kNaN, kInf, -kInf}) {
+    EXPECT_THROW(benefit_score({2, 2}, bad, p), std::invalid_argument);
+    ScoreParams bad_target = p;
+    bad_target.target_latency_ms = bad;
+    EXPECT_THROW(benefit_score({2, 2}, 100.0, bad_target),
+                 std::invalid_argument);
+  }
+  runtime::JobMetrics m;
+  m.parallelism = {2, 2};
+  m.latency_ms = kNaN;
+  EXPECT_THROW(benefit_score(m, p), std::invalid_argument);
 }
 
 TEST(Scoring, ThresholdEquation9) {
