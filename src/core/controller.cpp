@@ -19,22 +19,15 @@ MetricAggregator::MetricAggregator(const sim::Topology& topology,
   }
 }
 
-void MetricAggregator::grade(const runtime::MetricStore& db,
-                             runtime::MetricId id, double t0, double t1,
+void MetricAggregator::grade(std::size_t points, double t0, double t1,
                              WindowHealth& health) const {
-  if (!id.valid()) {
-    ++health.missing_series;
-    return;
-  }
-  const auto [first, last] = db.range(id, t0, t1);
-  const std::size_t n = last - first;
-  if (n == 0) {
+  if (points == 0) {
     ++health.missing_series;
     return;
   }
   if (metric_interval_sec_ > 0.0) {
     const double expected = (t1 - t0) / metric_interval_sec_;
-    if (static_cast<double>(n) <
+    if (static_cast<double>(points) <
         expected * (1.0 - max_missing_fraction_) - 0.5) {
       ++health.sparse_series;
     }
@@ -70,22 +63,23 @@ AggregatedMetrics MetricAggregator::aggregate(const runtime::MetricStore& db,
                                               double t0, double t1,
                                               WindowHealth* health) const {
   bind(db);
-  if (health != nullptr) {
-    // Grade every series a decision depends on. latency_mean is excluded:
-    // its gauges legitimately thin out when few records complete.
-    grade(db, ids_.input_rate, t0, t1, *health);
-    grade(db, ids_.throughput, t0, t1, *health);
-    grade(db, ids_.kafka_lag, t0, t1, *health);
-    for (std::size_t i = 0; i < topology_.num_operators(); ++i) {
-      grade(db, ids_.true_rate[i], t0, t1, *health);
-      grade(db, ids_.input_rate_per_op[i], t0, t1, *health);
-    }
-  }
+  // Each series a decision depends on is searched once, and the window it
+  // spans is graded and averaged. latency_mean is not graded: its gauges
+  // legitimately thin out when few records complete. An unknown id spans
+  // no points, so it grades as missing.
+  const auto graded = [&](runtime::MetricId id) {
+    const auto points = db.range(id, t0, t1);
+    if (health != nullptr) grade(points.second - points.first, t0, t1, *health);
+    return points;
+  };
+  const auto graded_mean = [&](runtime::MetricId id) {
+    return db.mean(id, graded(id)).value_or(0.0);
+  };
   AggregatedMetrics out;
   out.window_start = t0;
   out.window_end = t1;
-  out.input_rate = db.mean(ids_.input_rate, t0, t1).value_or(0.0);
-  out.throughput = db.mean(ids_.throughput, t0, t1).value_or(0.0);
+  out.input_rate = graded_mean(ids_.input_rate);
+  out.throughput = graded_mean(ids_.throughput);
   // Mean latency over gauges that actually saw completions, read straight
   // off the columnar series — no point-vector copy.
   if (ids_.latency_mean.valid()) {
@@ -101,13 +95,14 @@ AggregatedMetrics MetricAggregator::aggregate(const runtime::MetricStore& db,
     }
     out.latency_ms = lat_n > 0 ? lat_sum / lat_n * 1000.0 : 0.0;
   }
+  // Kafka lag is graded over the window but read at its newest point.
+  if (health != nullptr) graded(ids_.kafka_lag);
   if (ids_.kafka_lag.valid()) {
     if (const auto lag = db.last(ids_.kafka_lag)) out.kafka_lag = lag->value;
   }
   for (std::size_t i = 0; i < topology_.num_operators(); ++i) {
-    out.true_rate.push_back(db.mean(ids_.true_rate[i], t0, t1).value_or(0.0));
-    out.input_rate_per_op.push_back(
-        db.mean(ids_.input_rate_per_op[i], t0, t1).value_or(0.0));
+    out.true_rate.push_back(graded_mean(ids_.true_rate[i]));
+    out.input_rate_per_op.push_back(graded_mean(ids_.input_rate_per_op[i]));
   }
   return out;
 }

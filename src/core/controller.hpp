@@ -68,8 +68,8 @@ struct WindowHealth {
 /// Reads a window of the metric store into an AggregatedMetrics summary.
 ///
 /// Series ids are resolved once per store and cached; each aggregate()
-/// call then reads incrementally maintained window sums (two binary
-/// searches per series), never copying point vectors.
+/// call then reads incrementally maintained window sums (one range() per
+/// series, shared by its grade and its mean), never copying point vectors.
 ///
 /// When `metric_interval_sec` is positive, the aggregator also grades
 /// window health: each core series is expected to deliver one point per
@@ -94,8 +94,9 @@ class MetricAggregator {
     std::vector<runtime::MetricId> input_rate_per_op;
   };
   void bind(const runtime::MetricStore& db) const;
-  void grade(const runtime::MetricStore& db, runtime::MetricId id, double t0,
-             double t1, WindowHealth& health) const;
+  /// Grades one series that holds `points` points over [t0, t1].
+  void grade(std::size_t points, double t0, double t1,
+             WindowHealth& health) const;
 
   const sim::Topology& topology_;
   double metric_interval_sec_;

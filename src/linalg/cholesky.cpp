@@ -25,9 +25,7 @@ std::size_t growth_room(std::size_t n) { return n / 32 + 8; }
 }  // namespace
 
 Cholesky::Cholesky(std::size_t n)
-    : buf_((n + growth_room(n)) * (n + growth_room(n)), 0.0),
-      stride_(n + growth_room(n)),
-      n_(n) {}
+    : buf_(start(n + growth_room(n)), 0.0), rows_(n + growth_room(n)), n_(n) {}
 
 void Cholesky::forward_rows(std::size_t n, double* x) const noexcept {
   std::size_t i0 = 0;
@@ -111,30 +109,20 @@ Matrix Cholesky::lower() const {
   return out;
 }
 
-bool Cholesky::rank1_sweep(Vector& v, bool downdate) {
+void Cholesky::rank1_sweep(const Vector& v) {
   // The textbook sweep walks column k down all rows i > k. Row i only
   // needs column k's rotation (c_k, s_k) — fixed once row k reaches its
   // diagonal — and its own running v_i, so sweeping row by row applies
   // exactly the same operations to every entry in the same order, with
   // rows read contiguously and kRowBlock v_i chains in flight.
   const std::size_t n = n_;
-  // Column k's rotation: l' = (l + a_k v) / c_k, v' = c_k v - s_k l', with
-  // a_k = s_k (update) or -s_k (downdate; (-s) v is -(s v) exactly).
-  Vector c(n), a(n), s(n);
-  const auto diagonal = [&](double* li, double& vi, std::size_t i) {
-    double r = 0.0;
-    if (downdate) {
-      const double r2 = (li[i] - vi) * (li[i] + vi);
-      if (!(r2 > 0.0) || !std::isfinite(r2)) return false;
-      r = std::sqrt(r2);
-    } else {
-      r = std::hypot(li[i], vi);
-    }
+  // Column k's rotation: l' = (l + s_k v) / c_k, v' = c_k v - s_k l'.
+  Vector c(n), s(n);
+  const auto diagonal = [&](double* li, double vi, std::size_t i) {
+    const double r = std::hypot(li[i], vi);
     c[i] = r / li[i];
     s[i] = vi / li[i];
-    a[i] = downdate ? -s[i] : s[i];
     li[i] = r;
-    return true;
   };
   std::size_t i0 = 0;
   for (; i0 + kRowBlock <= n; i0 += kRowBlock) {
@@ -145,75 +133,60 @@ bool Cholesky::rank1_sweep(Vector& v, bool downdate) {
       w[r] = v[i0 + r];
     }
     for (std::size_t k = 0; k < i0; ++k) {
-      const double ck = c[k], ak = a[k], sk = s[k];
+      const double ck = c[k], sk = s[k];
       for (std::size_t r = 0; r < kRowBlock; ++r) {
-        const double lk = (l[r][k] + ak * w[r]) / ck;
+        const double lk = (l[r][k] + sk * w[r]) / ck;
         l[r][k] = lk;
         w[r] = ck * w[r] - sk * lk;
       }
     }
     for (std::size_t r = 0; r < kRowBlock; ++r) {
       for (std::size_t k = i0; k < i0 + r; ++k) {
-        const double lk = (l[r][k] + a[k] * w[r]) / c[k];
+        const double lk = (l[r][k] + s[k] * w[r]) / c[k];
         l[r][k] = lk;
         w[r] = c[k] * w[r] - s[k] * lk;
       }
-      if (!diagonal(l[r], w[r], i0 + r)) return false;
+      diagonal(l[r], w[r], i0 + r);
     }
   }
   for (std::size_t i = i0; i < n; ++i) {
     double* li = row(i);
     double wi = v[i];
     for (std::size_t k = 0; k < i; ++k) {
-      const double lk = (li[k] + a[k] * wi) / c[k];
+      const double lk = (li[k] + s[k] * wi) / c[k];
       li[k] = lk;
       wi = c[k] * wi - s[k] * lk;
     }
-    if (!diagonal(li, wi, i)) return false;
+    diagonal(li, wi, i);
   }
-  return true;
 }
 
 void Cholesky::update(const Vector& v) {
   if (v.size() != size()) {
     throw std::invalid_argument("Cholesky::update: size mismatch");
   }
-  Vector w = v;
-  rank1_sweep(w, false);
-}
-
-void Cholesky::downdate(const Vector& v) {
-  if (v.size() != size()) {
-    throw std::invalid_argument("Cholesky::downdate: size mismatch");
-  }
-  // Dry-run the hyperbolic sweep on a copy: the factor must be left
-  // untouched when A - v v^T loses positive definiteness.
-  Cholesky swept = *this;
-  Vector w = v;
-  if (!swept.rank1_sweep(w, true)) {
-    throw std::runtime_error(
-        "Cholesky::downdate: matrix would lose positive definiteness");
-  }
-  *this = std::move(swept);
+  rank1_sweep(v);
 }
 
 void Cholesky::reserve_next_row() {
-  if (org_ + n_ + 1 <= stride_) return;
+  if (org_ + n_ + 1 <= rows_) return;
   const std::size_t want = n_ + 1 + growth_room(n_);
-  if (stride_ >= want) {
-    // Slide the factor back to the buffer's corner. Each row moves to an
-    // earlier address than any row after it is read from.
+  if (rows_ >= want) {
+    // Slide the factor back to the buffer's corner, row i to start(i) in
+    // ascending i. Each row lands before its own source and ends at
+    // start(i + 1), before the next row's source, so no row is overwritten
+    // before it is read.
     for (std::size_t i = 0; i < n_; ++i) {
       const double* from = row(i);
-      std::copy(from, from + i + 1, buf_.data() + i * stride_);
+      std::copy(from, from + i + 1, buf_.data() + start(i));
     }
   } else {
-    std::vector<double> grown(want * want, 0.0);
+    std::vector<double> grown(start(want), 0.0);
     for (std::size_t i = 0; i < n_; ++i) {
-      std::copy(row(i), row(i) + i + 1, grown.data() + i * want);
+      std::copy(row(i), row(i) + i + 1, grown.data() + start(i));
     }
     buf_ = std::move(grown);
-    stride_ = want;
+    rows_ = want;
   }
   org_ = 0;
 }
@@ -226,7 +199,7 @@ void Cholesky::append_row(std::span<const double> cross, double diag) {
   reserve_next_row();
   // Row n is past the factor until it is committed, so a failure below
   // leaves the factor as it was.
-  double* l_row = buf_.data() + (org_ + n) * stride_ + org_;
+  double* l_row = row(n);
   std::copy(cross.begin(), cross.end(), l_row);
   forward_rows(n, l_row);
   const double d2 = diag - dot({l_row, n}, {l_row, n});
@@ -251,7 +224,7 @@ void Cholesky::drop_first() {
   for (std::size_t i = 1; i < n; ++i) v[i - 1] = row(i)[0];
   ++org_;
   --n_;
-  rank1_sweep(v, false);
+  rank1_sweep(v);
 }
 
 Vector Cholesky::solve_lower(const Vector& b) const {
@@ -334,11 +307,13 @@ Vector Cholesky::solve_upper(const Vector& b) const {
 void Cholesky::back_rows(double* x) const noexcept {
   const std::size_t n = size();
   for (std::size_t ii = n; ii-- > 0;) {
-    // Column ii below the diagonal, one buffer row apart per entry.
-    std::size_t at = (org_ + ii + 1) * stride_ + org_ + ii;
+    // Column ii below the diagonal: entry (k + 1, ii) lies one buffer row,
+    // org_ + k + 1 entries, past entry (k, ii).
+    std::size_t at = start(org_ + ii + 1) + org_ + ii;
     double s = x[ii];
-    for (std::size_t k = ii + 1; k < n; ++k, at += stride_) {
+    for (std::size_t k = ii + 1; k < n; ++k) {
       s -= buf_[at] * x[k];
+      at += org_ + k + 1;
     }
     x[ii] = s / row(ii)[ii];
   }

@@ -13,10 +13,12 @@ namespace autra::linalg {
 
 /// Lower-triangular Cholesky factor of a symmetric positive-definite matrix.
 ///
-/// The factor lives in a square row-major buffer wider than the factor, with
-/// entry (0, 0) at an origin on the buffer's diagonal: drop_first() moves the
-/// origin down one row and column and append_row() writes the row after the
-/// last, so a sliding observation window never rebuilds the factor.
+/// The factor lives in packed lower rows of a buffer with more rows than the
+/// factor: buffer row b starts at b(b+1)/2 and holds b + 1 entries, so
+/// nothing above the diagonal is stored. Entry (0, 0) sits at an origin on
+/// the buffer's diagonal: drop_first() moves the origin down one row and
+/// column and append_row() writes the row after the last, so a sliding
+/// observation window never rebuilds the factor.
 class Cholesky {
  public:
   /// A buffer for an n x n symmetric matrix A, to be filled with A's lower
@@ -49,13 +51,6 @@ class Cholesky {
   /// O(n^2) (standard `cholupdate` Givens sweep). Throws
   /// std::invalid_argument on size mismatch.
   void update(const Vector& v);
-
-  /// Rank-1 downdate: after the call this is the factor of A - v v^T, in
-  /// O(n^2) (hyperbolic rotations). Throws std::invalid_argument on size
-  /// mismatch and std::runtime_error — leaving the factor untouched — when
-  /// A - v v^T is not positive definite (the result must never be a
-  /// silently NaN-poisoned factor).
-  void downdate(const Vector& v);
 
   /// Factor extension: after the call this is the factor of the bordered
   /// matrix [[A, cross], [cross^T, diag]] — a new observation appended
@@ -103,12 +98,17 @@ class Cholesky {
   /// A buffer holding the lower triangle of `m` (square).
   [[nodiscard]] static Cholesky copy_lower(const Matrix& m);
 
+  /// Offset of buffer row b: the rows above it hold 1 + 2 + ... + b entries.
+  [[nodiscard]] static constexpr std::size_t start(std::size_t b) noexcept {
+    return b * (b + 1) / 2;
+  }
+
   /// Entries (i, 0..i) of row i, contiguous.
   [[nodiscard]] const double* row(std::size_t i) const noexcept {
-    return buf_.data() + (org_ + i) * stride_ + org_;
+    return buf_.data() + start(org_ + i) + org_;
   }
   [[nodiscard]] double* row(std::size_t i) noexcept {
-    return buf_.data() + (org_ + i) * stride_ + org_;
+    return buf_.data() + start(org_ + i) + org_;
   }
 
   /// Forward substitution of one right-hand side against rows [0, n):
@@ -120,16 +120,14 @@ class Cholesky {
   /// each sum in ascending k.
   void back_rows(double* x) const noexcept;
 
-  /// The Givens (update) or hyperbolic (downdate) sweep of L L^T +- v v^T,
-  /// row by row; consumes `v`. Returns false, with the factor partly swept,
-  /// when a downdate loses positive definiteness.
-  bool rank1_sweep(Vector& v, bool downdate);
+  /// The Givens sweep of L L^T + v v^T, row by row.
+  void rank1_sweep(const Vector& v);
 
   /// Makes room for row and column n_ past the current origin.
   void reserve_next_row();
 
-  std::vector<double> buf_;  ///< stride_ x stride_, row-major.
-  std::size_t stride_ = 0;
+  std::vector<double> buf_;  ///< rows_ packed lower rows.
+  std::size_t rows_ = 0;
   std::size_t org_ = 0;  ///< Buffer row and column of entry (0, 0).
   std::size_t n_ = 0;
 };

@@ -181,7 +181,7 @@ std::pair<std::size_t, std::size_t> MetricStore::range(MetricId id, double t0,
                                                        double t1) const {
   const Series* s = series_ptr(id);
   if (s == nullptr) return {0, 0};
-  if (t0 <= s->cut_time && t0 <= t1) {
+  if (s->head > 0 && t0 <= s->cut_time && t0 <= t1) {
     throw HistoryTrimmed("MetricStore: window [" + std::to_string(t0) + ", " +
                          std::to_string(t1) + "] of " + registry_.name(id) +
                          " reaches points dropped up to t=" +
@@ -220,7 +220,12 @@ std::optional<double> MetricStore::sum(MetricId id, double t0,
 
 std::optional<double> MetricStore::mean(MetricId id, double t0,
                                         double t1) const {
-  const auto [first, last] = range(id, t0, t1);
+  return mean(id, range(id, t0, t1));
+}
+
+std::optional<double> MetricStore::mean(
+    MetricId id, std::pair<std::size_t, std::size_t> points) const {
+  const auto [first, last] = points;
   if (first == last) return std::nullopt;
   return window_sum(*series_ptr(id), first, last) /
          static_cast<double>(last - first);

@@ -179,6 +179,10 @@ class MetricStore final : public MetricSink {
                                           double t1) const;
   [[nodiscard]] std::optional<double> mean(MetricId id, double t0,
                                            double t1) const;
+  /// Mean of the points a range(id, ...) answer spans, from the same sums
+  /// as mean(id, t0, t1) without searching again; nullopt when empty.
+  [[nodiscard]] std::optional<double> mean(
+      MetricId id, std::pair<std::size_t, std::size_t> points) const;
   [[nodiscard]] std::optional<MetricPoint> last(MetricId id) const;
 
   /// Names of all series with at least one point, sorted.

@@ -1,5 +1,6 @@
 // Pins the allocation-free posterior path: batched prediction, the in-place
-// windowed factor update and EI scoring, and the one n^2 buffer of a fit.
+// windowed factor update and EI scoring, and the one packed factor buffer of
+// a fit.
 // This binary replaces the global operator new with a counting one, which
 // is why it is not folded into test_gp: the counter must see only the
 // calls a test brackets.
@@ -115,12 +116,17 @@ gp::GpRegressor windowed_gp(std::size_t n) {
   return model;
 }
 
-/// Counts blocks of at least n^2 doubles while in scope.
+/// Bytes of the packed lower triangle of an n x n factor.
+constexpr std::size_t packed_bytes(std::size_t n) {
+  return n * (n + 1) / 2 * sizeof(double);
+}
+
+/// Counts blocks of at least an n x n factor's packed size while in scope.
 class BigBlocks {
  public:
   explicit BigBlocks(std::size_t n) {
     g_big_live = 0;
-    g_big_bytes = n * n * sizeof(double);
+    g_big_bytes = packed_bytes(n);
   }
   ~BigBlocks() { g_big_bytes = std::numeric_limits<std::size_t>::max(); }
   BigBlocks(const BigBlocks&) = delete;
@@ -144,20 +150,34 @@ TEST(GpAlloc, WarmPredictBatchAllocatesNothing) {
 }
 
 TEST(GpAlloc, WindowedObserveAllocatesLessThanAQuarterOfTheFactor) {
-  constexpr std::size_t n = 256;
-  constexpr std::size_t kFactorBytes = n * n * sizeof(double);
-  gp::GpRegressor model = windowed_gp(n);
-  // Enough steps for the window's buffer to slide back to its corner.
-  for (std::size_t step = 0; step < 40; ++step) {
-    double x[kDims];
-    weyl_point(n + step, x);
-    const std::size_t before = g_bytes.load();
-    model.observe(x, target(x));
-    const std::size_t bytes = g_bytes.load() - before;
-    EXPECT_LT(bytes, kFactorBytes / 4) << "observe " << step;
+  for (const std::size_t n : {256u, 1024u}) {
+    gp::GpRegressor model = windowed_gp(n);
+    // The buffer keeps n / 32 + 8 rows of room past the window, so it
+    // slides back to its corner twice within these steps.
+    const std::size_t steps = 2 * (n / 32 + 8) + 8;
+    for (std::size_t step = 0; step < steps; ++step) {
+      double x[kDims];
+      weyl_point(n + step, x);
+      const std::size_t before = g_bytes.load();
+      model.observe(x, target(x));
+      const std::size_t bytes = g_bytes.load() - before;
+      EXPECT_LT(bytes, packed_bytes(n) / 4)
+          << "n = " << n << ", observe " << step;
+    }
+    EXPECT_EQ(model.fit_stats().incremental_updates, steps) << "n = " << n;
+    EXPECT_EQ(model.fit_stats().window_evictions, steps) << "n = " << n;
   }
-  EXPECT_EQ(model.fit_stats().incremental_updates, 40u);
-  EXPECT_EQ(model.fit_stats().window_evictions, 40u);
+}
+
+TEST(GpAlloc, FactorBufferHoldsOnlyTheLowerTriangle) {
+  for (const std::size_t n : {64u, 256u, 1024u}) {
+    // The packed rows of n points plus the growth room a window slides in.
+    const std::size_t rows = n + n / 32 + 8;
+    const std::size_t before = g_bytes.load();
+    { const linalg::Cholesky buffer(n); }
+    EXPECT_LE(g_bytes.load() - before, rows * (rows + 1) / 2 * sizeof(double))
+        << "n = " << n;
+  }
 }
 
 TEST(GpAlloc, FrozenFitBuildsItsGramInItsOneFactorBuffer) {

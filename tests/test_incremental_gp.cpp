@@ -7,15 +7,12 @@
 // across a snapshot/restore process boundary.
 #include "bayesopt/bayes_opt.hpp"
 #include "gp/gp_regressor.hpp"
-#include "linalg/cholesky.hpp"
 
 #include <cmath>
 #include <random>
 #include <vector>
 
 #include <gtest/gtest.h>
-
-#include "linalg_helpers.hpp"
 
 namespace autra::gp {
 namespace {
@@ -104,35 +101,6 @@ TEST(IncrementalGp, ObserveMatchesBatchFitAcross250Seeds) {
     EXPECT_NEAR(batch.log_marginal_likelihood(),
                 inc.log_marginal_likelihood(), 1e-9)
         << "seed " << seed;
-  }
-}
-
-TEST(IncrementalGp, DowndateUpdateRoundTripRestoresFactor) {
-  std::mt19937_64 rng(99);
-  std::uniform_real_distribution<double> u(-1.0, 1.0);
-  for (int rep = 0; rep < 20; ++rep) {
-    const std::size_t n = 3 + static_cast<std::size_t>(rep) % 6;
-    // Random SPD matrix A = B B^T + n I.
-    Matrix b(n, n);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j) b(i, j) = u(rng);
-    }
-    Matrix a = b * linalg::test_util::transposed(b);
-    linalg::test_util::add_diagonal(a, static_cast<double>(n));
-    auto chol = linalg::Cholesky::factor(a);
-    ASSERT_TRUE(chol.has_value());
-    const Matrix before = chol->lower();
-
-    Vector v(n);
-    for (double& x : v) x = u(rng);
-    chol->update(v);
-    chol->downdate(v);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j <= i; ++j) {
-        EXPECT_NEAR(chol->lower()(i, j), before(i, j), 1e-9)
-            << "rep " << rep << " (" << i << "," << j << ")";
-      }
-    }
   }
 }
 

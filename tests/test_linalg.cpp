@@ -288,7 +288,7 @@ INSTANTIATE_TEST_SUITE_P(Sizes, CholeskyProperty,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55));
 
 // --------------------------------------------------------------------------
-// Rank-1 surgery: update/downdate/append_row/drop_first against freshly
+// Rank-1 surgery: update/append_row/drop_first against freshly
 // factored references on random SPD matrices.
 
 Matrix random_spd(std::mt19937_64& rng, std::size_t n, double ridge) {
@@ -334,25 +334,6 @@ TEST_P(CholeskyRank1Property, UpdateMatchesFreshFactorOfAPlusVvT) {
   chol->update(v);
 
   const auto fresh = Cholesky::factor(a + rank1(v));
-  ASSERT_TRUE(fresh);
-  expect_lower_near(chol->lower(), fresh->lower(), 1e-9);
-  EXPECT_NEAR(chol->log_determinant(), fresh->log_determinant(), 1e-9);
-}
-
-TEST_P(CholeskyRank1Property, DowndateMatchesFreshFactorOfAMinusVvT) {
-  const auto n = static_cast<std::size_t>(GetParam());
-  std::mt19937_64 rng(200 + n);
-  std::uniform_real_distribution<double> dist(-0.3, 0.3);
-  // Strong diagonal keeps A - v v^T comfortably positive definite.
-  const Matrix a = random_spd(rng, n, 2.0);
-  Vector v(n);
-  for (double& x : v) x = dist(rng);
-
-  auto chol = Cholesky::factor(a);
-  ASSERT_TRUE(chol);
-  chol->downdate(v);
-
-  const auto fresh = Cholesky::factor(a - rank1(v));
   ASSERT_TRUE(fresh);
   expect_lower_near(chol->lower(), fresh->lower(), 1e-9);
   EXPECT_NEAR(chol->log_determinant(), fresh->log_determinant(), 1e-9);
@@ -404,25 +385,6 @@ TEST_P(CholeskyRank1Property, DropFirstMatchesFactorOfTrailingBlock) {
 INSTANTIATE_TEST_SUITE_P(Sizes, CholeskyRank1Property,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
 
-TEST(CholeskyRank1, NonPositiveDowndateThrowsAndPreservesFactor) {
-  Matrix a = identity(3);
-  auto chol = Cholesky::factor(a);
-  ASSERT_TRUE(chol);
-  const Matrix before = chol->lower();
-  // |v| > 1 in a coordinate direction destroys positive definiteness.
-  EXPECT_THROW(chol->downdate(Vector{2.0, 0.0, 0.0}), std::runtime_error);
-  // The factor is untouched — and in particular not NaN-poisoned.
-  for (std::size_t i = 0; i < 3; ++i) {
-    for (std::size_t j = 0; j < 3; ++j) {
-      EXPECT_EQ(chol->lower()(i, j), before(i, j));
-      EXPECT_FALSE(std::isnan(chol->lower()(i, j)));
-    }
-  }
-  // Still usable for solves after the failed downdate.
-  const Vector x = chol->solve(Vector{1.0, 2.0, 3.0});
-  EXPECT_NEAR(x[2], 3.0, 1e-12);
-}
-
 TEST(CholeskyRank1, NonPositiveAppendRowThrowsAndPreservesFactor) {
   auto chol = Cholesky::factor(identity(2));
   ASSERT_TRUE(chol);
@@ -441,7 +403,6 @@ TEST(CholeskyRank1, SizeAndStateValidation) {
   auto chol = Cholesky::factor(identity(2));
   ASSERT_TRUE(chol);
   EXPECT_THROW(chol->update(Vector{1.0}), std::invalid_argument);
-  EXPECT_THROW(chol->downdate(Vector{1.0, 2.0, 3.0}), std::invalid_argument);
   EXPECT_THROW(chol->append_row(Vector{1.0}, 2.0), std::invalid_argument);
 
   auto one = Cholesky::factor(identity(1));
@@ -514,6 +475,18 @@ Vector reference_solve_lower(const Matrix& l, const Vector& b) {
   return x;
 }
 
+/// One-column back substitution against L^T, each sum in ascending k.
+Vector reference_solve_upper(const Matrix& l, const Vector& b) {
+  const std::size_t n = b.size();
+  Vector x(n);
+  for (std::size_t i = n; i-- > 0;) {
+    double s = b[i];
+    for (std::size_t k = i + 1; k < n; ++k) s -= l(k, i) * x[k];
+    x[i] = s / l(i, i);
+  }
+  return x;
+}
+
 /// Column-by-column Givens sweep of L L^T + v v^T.
 void reference_update(Matrix& l, Vector v) {
   const std::size_t n = l.rows();
@@ -524,21 +497,6 @@ void reference_update(Matrix& l, Vector v) {
     l(k, k) = r;
     for (std::size_t i = k + 1; i < n; ++i) {
       l(i, k) = (l(i, k) + s * v[i]) / c;
-      v[i] = c * v[i] - s * l(i, k);
-    }
-  }
-}
-
-/// Column-by-column hyperbolic sweep of L L^T - v v^T (kept PD by the caller).
-void reference_downdate(Matrix& l, Vector v) {
-  const std::size_t n = l.rows();
-  for (std::size_t k = 0; k < n; ++k) {
-    const double r = std::sqrt((l(k, k) - v[k]) * (l(k, k) + v[k]));
-    const double c = r / l(k, k);
-    const double s = v[k] / l(k, k);
-    l(k, k) = r;
-    for (std::size_t i = k + 1; i < n; ++i) {
-      l(i, k) = (l(i, k) - s * v[i]) / c;
       v[i] = c * v[i] - s * l(i, k);
     }
   }
@@ -639,17 +597,14 @@ TEST(CholeskyOracle, RowSweepsMatchColumnSweeps) {
     chol->update(v);
     reference_update(want, v);
     EXPECT_TRUE(chol->lower() == want) << "update n=" << n;
-
-    chol->downdate(v);
-    reference_downdate(want, v);
-    EXPECT_TRUE(chol->lower() == want) << "downdate n=" << n;
   }
 }
 
 TEST(CholeskyOracle, InPlaceWindowMatchesFreshMatrices) {
   // A sliding window (drop the oldest point, append a new one) for the
   // first half, long enough that the buffer compacts several times, then a
-  // growing one (append only), long enough that it reallocates.
+  // growing one (append only), long enough that it reallocates. Solves read
+  // the factor by column as well as by row, so they are checked too.
   constexpr std::size_t kPoints = 300;
   std::mt19937_64 rng(800);
   const Matrix big = random_spd(rng, kPoints, 1.0);
@@ -677,6 +632,14 @@ TEST(CholeskyOracle, InPlaceWindowMatchesFreshMatrices) {
       chol->append_row(cross, entry(next, next));
       want = reference_append_row(want, cross, entry(next, next));
       ASSERT_TRUE(chol->lower() == want)
+          << "window " << window << " after point " << next;
+      // The new point's row of A as a right-hand side.
+      Vector b(chol->size());
+      for (std::size_t i = 0; i < b.size(); ++i) b[i] = entry(next, first + i);
+      ASSERT_TRUE(chol->solve_upper(b) == reference_solve_upper(want, b))
+          << "window " << window << " after point " << next;
+      ASSERT_TRUE(chol->solve(b) ==
+                  reference_solve_upper(want, reference_solve_lower(want, b)))
           << "window " << window << " after point " << next;
     }
     EXPECT_GT(chol->size(), window);  // the window grew as well as slid

@@ -289,6 +289,27 @@ TEST(MetricStoreRetention, DeclarationsCombineByMax) {
   EXPECT_EQ(cleared.points_held(), 6u);
 }
 
+TEST(MetricStoreRetention, WindowFromMinusInfinityThrowsOnlyAfterADrop) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // Nothing dropped, retained or not: the window holds every point.
+  for (const bool retained : {false, true}) {
+    MetricStore db;
+    if (retained) db.retain(5.0);
+    const MetricId id = db.resolve("s");
+    db.record(id, 1.0, 2.0);
+    const auto [first, last] = db.range(id, -kInf, 10.0);
+    EXPECT_EQ(first, 0u);
+    EXPECT_EQ(last, 1u);
+    EXPECT_EQ(db.mean(id, -kInf, 10.0), 2.0);
+    EXPECT_EQ(db.sum(id, -kInf, kInf), 2.0);
+  }
+  MetricStore db;
+  db.retain(5.0);
+  const MetricId id = db.resolve("s");
+  for (int t = 0; t <= 10; ++t) db.record(id, t, 1.0);
+  EXPECT_THROW(db.mean(id, -kInf, 10.0), HistoryTrimmed);
+}
+
 // --- Agreement with the three-column layout --------------------------------
 
 struct Write {
@@ -408,7 +429,9 @@ std::string csv(const Store& db) {
     const double back = b.times.back();
     const double span = back - front + 2.0;
     std::vector<std::pair<double, double>> windows = {
-        {front, back}, {back, back}, {back - 1.0, back}, {front - 1.0, back}};
+        {front, back},       {back, back},
+        {back - 1.0, back},  {front - 1.0, back},
+        {-std::numeric_limits<double>::infinity(), back}};
     for (int w = 0; w < 6; ++w) {
       const double t0 = front - 1.0 + span * unit(rng);
       windows.emplace_back(t0, t0 + (span * unit(rng) - 1.0));

@@ -86,7 +86,8 @@ class ThreeColumnStore {
                                                           double t1) const {
     const Series* s = series_ptr(id);
     if (s == nullptr) return {0, 0};
-    if (t0 <= s->cut_time && t0 <= t1) {
+    // cut_time is -infinity until the series drops a point.
+    if (std::isfinite(s->cut_time) && t0 <= s->cut_time && t0 <= t1) {
       throw HistoryTrimmed("ThreeColumnStore: window reaches dropped points");
     }
     const auto held = s->times.begin() + static_cast<std::ptrdiff_t>(s->head);
