@@ -5,7 +5,6 @@
 // consume (throughput, true rates, latency) are stable across tick sizes,
 // and reports the simulation wall-time cost of finer ticks.
 #include <chrono>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -157,11 +156,11 @@ int main(int argc, char** argv) {
 
   bool smoke = false;
   std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[i + 1];
-    }
+  if (!bench::Args()
+           .flag("--smoke", smoke)
+           .text("--json", "PATH", json_path)
+           .parse(argc, argv)) {
+    return 2;
   }
 
   // Smoke mode for CI: only the JSON-reported engine-core grid, minus the

@@ -13,7 +13,6 @@
 // CI).
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <iterator>
 #include <memory>
 #include <string>
@@ -74,15 +73,11 @@ void run_cell(const Dag& dag, const std::string& arrival,
 int main(int argc, char** argv) {
   bool smoke = false;
   std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: %s [--smoke] [--json PATH]\n", argv[0]);
-      return 2;
-    }
+  if (!bench::Args()
+           .flag("--smoke", smoke)
+           .text("--json", "PATH", json_path)
+           .parse(argc, argv)) {
+    return 2;
   }
 
   const std::vector<std::string> arrivals =

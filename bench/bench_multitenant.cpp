@@ -20,7 +20,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -157,24 +156,14 @@ int main(int argc, char** argv) {
   std::string json_path;
   std::string arrival = "constant";
   std::uint64_t arrival_seed = 7;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--arrival") == 0 && i + 1 < argc) {
-      arrival = argv[++i];
-    } else if (std::strcmp(argv[i], "--arrival-seed") == 0 && i + 1 < argc &&
-               bench::parse_number(argv[i + 1], arrival_seed)) {
-      ++i;
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--smoke] [--json PATH]\n"
-                   "          [--arrival constant|mmpp|hawkes|diurnal|"
-                   "trace:<path>] [--arrival-seed S]\n",
-                   argv[0]);
-      return 2;
-    }
+  if (!bench::Args()
+           .flag("--smoke", smoke)
+           .text("--json", "PATH", json_path)
+           .text("--arrival", "constant|mmpp|hawkes|diurnal|trace:<path>",
+                 arrival)
+           .number("--arrival-seed", "S", arrival_seed)
+           .parse(argc, argv)) {
+    return 2;
   }
 
   const double horizon = smoke ? 360.0 : 900.0;

@@ -10,7 +10,6 @@
 // is meaningful for the determinism flag and evaluation counts only.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "bench_util.hpp"
@@ -23,13 +22,8 @@ int main(int argc, char** argv) {
   using Clock = std::chrono::steady_clock;
 
   std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: %s [--json PATH]\n", argv[0]);
-      return 2;
-    }
+  if (!bench::Args().text("--json", "PATH", json_path).parse(argc, argv)) {
+    return 2;
   }
 
   bench::header(

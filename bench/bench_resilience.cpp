@@ -26,7 +26,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -175,29 +174,16 @@ int main(int argc, char** argv) {
   std::string json_path;
   std::string arrival = "constant";
   std::uint64_t arrival_seed = 7;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--chaos") == 0 && i + 1 < argc) {
-      if (!bench::parse_number(argv[++i], chaos) || chaos <= 0) {
-        std::fprintf(stderr, "--chaos needs a positive schedule count\n");
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--arrival") == 0 && i + 1 < argc) {
-      arrival = argv[++i];
-    } else if (std::strcmp(argv[i], "--arrival-seed") == 0 && i + 1 < argc &&
-               bench::parse_number(argv[i + 1], arrival_seed)) {
-      ++i;
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--smoke] [--chaos N] [--json PATH]\n"
-                   "          [--arrival constant|mmpp|hawkes|diurnal|"
-                   "trace:<path>] [--arrival-seed S]\n",
-                   argv[0]);
-      return 2;
-    }
+  // --chaos N runs N seeded chaos schedules; N must be positive.
+  if (!bench::Args()
+           .flag("--smoke", smoke)
+           .number("--chaos", "N", chaos, 1)
+           .text("--json", "PATH", json_path)
+           .text("--arrival", "constant|mmpp|hawkes|diurnal|trace:<path>",
+                 arrival)
+           .number("--arrival-seed", "S", arrival_seed)
+           .parse(argc, argv)) {
+    return 2;
   }
 
   bench::JsonReport report("bench_resilience");

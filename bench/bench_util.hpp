@@ -4,6 +4,8 @@
 #include <charconv>
 #include <cstdio>
 #include <cstring>
+#include <functional>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <system_error>
@@ -38,6 +40,80 @@ template <class T>
   out = v;
   return true;
 }
+
+/// The benches' one command-line parser. Each option names the variable
+/// it sets. On an unknown flag, a missing value or a malformed number,
+/// parse() prints the argument and the usage line to stderr and returns
+/// false, and main() exits 2.
+class Args {
+ public:
+  /// A switch: its presence sets `out` to true.
+  Args& flag(const char* name, bool& out) {
+    return add(name, nullptr, [&out](const char*) {
+      out = true;
+      return true;
+    });
+  }
+
+  Args& text(const char* name, const char* metavar, std::string& out) {
+    return add(name, metavar, [&out](const char* v) {
+      out = v;
+      return true;
+    });
+  }
+
+  /// A number, parsed whole by parse_number and no smaller than `min`.
+  template <class T>
+  Args& number(const char* name, const char* metavar, T& out,
+               T min = std::numeric_limits<T>::lowest()) {
+    return add(name, metavar, [&out, min](const char* v) {
+      T parsed{};
+      if (!parse_number(v, parsed) || parsed < min) return false;
+      out = parsed;
+      return true;
+    });
+  }
+
+  [[nodiscard]] bool parse(int argc, char** argv) const {
+    for (int i = 1; i < argc; ++i) {
+      const Option* option = nullptr;
+      for (const Option& o : options_) {
+        if (std::strcmp(o.name, argv[i]) == 0) option = &o;
+      }
+      const bool ok = option != nullptr &&
+                      (option->metavar == nullptr
+                           ? option->set(nullptr)
+                           : i + 1 < argc && option->set(argv[i + 1]));
+      if (!ok) {
+        std::fprintf(stderr, "%s: bad argument %s\nusage: %s", argv[0],
+                     argv[i], argv[0]);
+        for (const Option& o : options_) {
+          std::fprintf(stderr, " [%s%s%s]", o.name, o.metavar ? " " : "",
+                       o.metavar ? o.metavar : "");
+        }
+        std::fprintf(stderr, "\n");
+        return false;
+      }
+      if (option->metavar != nullptr) ++i;
+    }
+    return true;
+  }
+
+ private:
+  struct Option {
+    const char* name;
+    const char* metavar;  ///< nullptr for a switch.
+    std::function<bool(const char*)> set;
+  };
+
+  Args& add(const char* name, const char* metavar,
+            std::function<bool(const char*)> set) {
+    options_.push_back({name, metavar, std::move(set)});
+    return *this;
+  }
+
+  std::vector<Option> options_;
+};
 
 inline void header(const char* title) {
   std::printf("\n================================================================\n");

@@ -15,7 +15,6 @@
 // `--json PATH` writes one row per query x method (iterations, parallelism,
 // latency percentiles, CPU, memory); every column is deterministic, and
 // BENCH_fig8.json is the committed baseline the zero-budget gate compares.
-#include <cstring>
 
 #include "baselines/ds2.hpp"
 #include "bench_util.hpp"
@@ -57,10 +56,8 @@ sim::Parallelism base_config(sim::JobRunner& runner, double target) {
 
 int main(int argc, char** argv) {
   std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[i + 1];
-    }
+  if (!bench::Args().text("--json", "PATH", json_path).parse(argc, argv)) {
+    return 2;
   }
 
   const QueryCase cases[] = {

@@ -30,7 +30,6 @@
 
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <random>
 #include <span>
 #include <string>
@@ -387,26 +386,24 @@ void run_prediction_section(bool smoke, bench::JsonReport& report) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // google-benchmark takes its --benchmark_* flags out of argv first;
+  // whatever is left must be this bench's own.
+  benchmark::Initialize(&argc, argv);
   bool smoke = false;
-  bool flags = false;
   std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = flags = true;
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[i + 1];
-      flags = true;
-    }
+  if (!bench::Args()
+           .flag("--smoke", smoke)
+           .text("--json", "PATH", json_path)
+           .parse(argc, argv)) {
+    return 2;
   }
 
-  if (!flags) {
-    // Plain invocation: the google-benchmark Table IV rows, then the full
-    // incremental section (this is what regenerates BENCH_overhead.json
-    // when combined with --json).
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  if (!smoke && json_path.empty()) {
+    // Plain invocation adds the google-benchmark Table IV rows; --smoke
+    // and --json run only the sections below.
     benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
   }
+  benchmark::Shutdown();
   bench::JsonReport report("table4_overhead");
   run_incremental_section(smoke, report);
   run_prediction_section(smoke, report);

@@ -25,9 +25,6 @@ void validate(const DiurnalParams& p) {
   if (!(p.day_sec > 0.0)) {
     throw std::invalid_argument("DiurnalRate: day_sec must be > 0");
   }
-  if (!(p.peak_frac >= 0.0) || p.peak_frac >= 1.0) {
-    throw std::invalid_argument("DiurnalRate: peak_frac must be in [0, 1)");
-  }
   if (!(p.flash_crowds_per_day >= 0.0) || !(p.flash_magnitude >= 0.0) ||
       !(p.flash_duration_sec > 0.0)) {
     throw std::invalid_argument(
@@ -53,7 +50,8 @@ std::vector<double> materialise(const DiurnalParams& p, std::uint64_t seed) {
     const double weekly = (day % 7 == 5 || day % 7 == 6)
                               ? p.weekend_factor
                               : 1.0;
-    const double phase = day_frac - static_cast<double>(day) - p.peak_frac;
+    const double phase =
+        day_frac - static_cast<double>(day) - kDiurnalPeakFrac;
     table[s] = p.base_rate * weekly *
                (1.0 + p.daily_amplitude * std::cos(kTwoPi * phase));
   }

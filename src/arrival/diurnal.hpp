@@ -5,11 +5,13 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "arrival/tabulated.hpp"
 
 namespace autra::arrival {
+
+/// Position of the daily peak as a fraction of the day (14:00 ~ 0.583).
+inline constexpr double kDiurnalPeakFrac = 14.0 / 24.0;
 
 struct DiurnalParams {
   /// Mean rate (records/sec) of the deterministic envelope.
@@ -20,8 +22,6 @@ struct DiurnalParams {
   double weekend_factor = 0.7;
   /// Simulated length of one "day"; 7 of them make a "week".
   double day_sec = 86400.0;
-  /// Position of the daily peak as a fraction of the day (14:00 ~ 0.583).
-  double peak_frac = 14.0 / 24.0;
   /// Flash crowds per day (rounded to an integer count); onsets are
   /// drawn uniformly within each day from the seed.
   double flash_crowds_per_day = 1.0;
@@ -44,13 +44,7 @@ class DiurnalRate final : public TabulatedRate {
     return params_;
   }
 
-  [[nodiscard]] std::unique_ptr<sim::RateSchedule> clone() const override {
-    return std::unique_ptr<sim::RateSchedule>(new DiurnalRate(*this));
-  }
-
  private:
-  DiurnalRate(const DiurnalRate&) = default;
-
   DiurnalParams params_;
 };
 

@@ -114,8 +114,7 @@ HawkesRate::HawkesRate(HawkesParams params, std::uint64_t seed)
 HawkesRate::HawkesRate(HawkesParams params, std::vector<double> events)
     : TabulatedRate(materialise(params, events)),
       params_(std::move(params)),
-      events_(std::make_shared<const std::vector<double>>(
-          std::move(events))) {}
+      events_(std::move(events)) {}
 
 double HawkesRate::mean_rate() const noexcept {
   return params_.base_rate + params_.records_per_burst *

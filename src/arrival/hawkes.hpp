@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <random>
 #include <vector>
 
@@ -59,23 +58,18 @@ class HawkesRate final : public TabulatedRate {
 
   /// The sampled burst-onset times (for clustering statistics in tests).
   [[nodiscard]] const std::vector<double>& event_times() const noexcept {
-    return *events_;
+    return events_;
   }
 
   [[nodiscard]] const HawkesParams& params() const noexcept {
     return params_;
   }
 
-  [[nodiscard]] std::unique_ptr<sim::RateSchedule> clone() const override {
-    return std::unique_ptr<sim::RateSchedule>(new HawkesRate(*this));
-  }
-
  private:
-  HawkesRate(const HawkesRate&) = default;
   HawkesRate(HawkesParams params, std::vector<double> events);
 
   HawkesParams params_;
-  std::shared_ptr<const std::vector<double>> events_;
+  std::vector<double> events_;
 };
 
 }  // namespace autra::arrival

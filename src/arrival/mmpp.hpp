@@ -8,7 +8,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "arrival/tabulated.hpp"
@@ -39,10 +38,6 @@ class MmppRate final : public TabulatedRate {
 
   [[nodiscard]] const MmppParams& params() const noexcept { return params_; }
 
-  [[nodiscard]] std::unique_ptr<sim::RateSchedule> clone() const override {
-    return std::unique_ptr<sim::RateSchedule>(new MmppRate(*this));
-  }
-
   /// Evenly spaced ladder of `states` rates spanning
   /// mean_rate * [1 - spread, 1 + spread]; its average is mean_rate, so
   /// MmppRate(ladder(m, ...), seed).stationary_rate() == m.
@@ -53,8 +48,6 @@ class MmppRate final : public TabulatedRate {
                                          double horizon_sec = 3600.0);
 
  private:
-  MmppRate(const MmppRate&) = default;
-
   MmppParams params_;
 };
 

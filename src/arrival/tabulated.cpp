@@ -2,20 +2,21 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace autra::arrival {
 
-TabulatedRate::TabulatedRate(std::vector<double> table) {
-  if (table.empty()) {
+TabulatedRate::TabulatedRate(std::vector<double> table)
+    : table_(std::move(table)) {
+  if (table_.empty()) {
     throw std::invalid_argument("TabulatedRate: empty rate table");
   }
-  for (double r : table) {
+  for (double r : table_) {
     if (!std::isfinite(r) || r < 0.0) {
       throw std::invalid_argument(
           "TabulatedRate: rates must be finite and non-negative");
     }
   }
-  table_ = std::make_shared<const std::vector<double>>(std::move(table));
 }
 
 }  // namespace autra::arrival

@@ -5,14 +5,12 @@
 // the discretisation-and-determinism contract of the subsystem: the RNG
 // lives and dies inside the constructor (seeded with a named seed, per
 // lint rule D3), so rate_at() is const, thread-safe, and bit-identical
-// across clone() copies (clones share the immutable table), across exec
-// thread counts, and across engine cores — the engine only ever sees a
+// across exec thread counts and engine cores — the engine only ever sees a
 // fixed function of time, exactly like the hand-built schedules in
 // streamsim/rates.hpp.
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <vector>
 
 #include "streamsim/rates.hpp"
@@ -27,21 +25,15 @@ namespace autra::arrival {
 class TabulatedRate : public sim::RateSchedule {
  public:
   [[nodiscard]] double rate_at(double t) const final {
-    const std::vector<double>& tab = *table_;
-    if (t <= 0.0) return tab.front();
+    if (t <= 0.0) return table_.front();
     std::size_t s = static_cast<std::size_t>(t);
-    if (s >= tab.size()) s = tab.size() - 1;
-    return tab[s];
+    if (s >= table_.size()) s = table_.size() - 1;
+    return table_[s];
   }
 
   /// The materialised per-second table (one entry per second of horizon).
   [[nodiscard]] const std::vector<double>& table() const noexcept {
-    return *table_;
-  }
-
-  /// Seconds of materialised horizon (== table().size()).
-  [[nodiscard]] double horizon_sec() const noexcept {
-    return static_cast<double>(table_->size());
+    return table_;
   }
 
  protected:
@@ -49,12 +41,8 @@ class TabulatedRate : public sim::RateSchedule {
   /// >= 0. Throws std::invalid_argument otherwise.
   explicit TabulatedRate(std::vector<double> table);
 
-  TabulatedRate(const TabulatedRate&) = default;
-  TabulatedRate& operator=(const TabulatedRate&) = default;
-
  private:
-  /// Shared so clone() is O(1) and trivially bit-identical.
-  std::shared_ptr<const std::vector<double>> table_;
+  std::vector<double> table_;
 };
 
 }  // namespace autra::arrival

@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -55,14 +54,6 @@ class TraceRate final : public TabulatedRate {
   [[nodiscard]] TraceInterp interpolation() const noexcept {
     return interp_;
   }
-
-  [[nodiscard]] std::unique_ptr<sim::RateSchedule> clone() const override {
-    return std::unique_ptr<sim::RateSchedule>(new TraceRate(*this));
-  }
-
-  /// Copies are cheap (the table is shared) and value-semantics friendly
-  /// — load() returns by value.
-  TraceRate(const TraceRate&) = default;
 
  private:
   std::vector<std::pair<double, double>> points_;

@@ -6,12 +6,19 @@
 
 namespace autra::baselines {
 
+namespace {
+
+/// Relative throughput gain below which a resolution is judged useless
+/// and blacklisted.
+constexpr double kMinImprovement = 0.02;
+
+}  // namespace
+
 DhalionPolicy::DhalionPolicy(const sim::Topology& topology,
                              DhalionParams params)
     : topology_(topology), params_(params) {
   if (params_.max_parallelism < 1 || params_.max_iterations < 1 ||
-      params_.backpressure_queue_threshold <= 0.0 ||
-      params_.min_improvement < 0.0) {
+      params_.backpressure_queue_threshold <= 0.0) {
     throw std::invalid_argument("DhalionPolicy: bad parameters");
   }
 }
@@ -125,7 +132,7 @@ DhalionResult DhalionPolicy::run(const runtime::Evaluator& evaluate,
     // the symptom (fewer backpressured operators).
     const bool symptom_improved = diagnose(trial).size() < symptoms.size();
     if (!symptom_improved &&
-        gain < params_.min_improvement * std::max(metrics.throughput, 1.0)) {
+        gain < kMinImprovement * std::max(metrics.throughput, 1.0)) {
       // No benefit: roll back and blacklist this resolution.
       blacklist.insert(next);
       result.blacklisted.push_back(next);

@@ -28,9 +28,6 @@ struct DhalionParams {
   /// Queue length (records per instance) above which an operator is
   /// diagnosed as backpressured.
   double backpressure_queue_threshold = 500.0;
-  /// Relative throughput gain below which a resolution is judged useless
-  /// and blacklisted.
-  double min_improvement = 0.02;
   int max_parallelism = 1;
   int max_iterations = 15;
 };

@@ -199,9 +199,4 @@ std::optional<Observation> BayesOpt::best() const {
       [](const Observation& a, const Observation& b) { return a.score < b.score; });
 }
 
-gp::Prediction BayesOpt::predict(const Config& config) {
-  refit_if_dirty();
-  return surrogate_.predict(to_features(config));
-}
-
 }  // namespace autra::bo

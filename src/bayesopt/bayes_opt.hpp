@@ -94,10 +94,6 @@ class BayesOpt {
   /// Best observation so far; nullopt before any observe().
   [[nodiscard]] std::optional<Observation> best() const;
 
-  /// Posterior prediction of the current surrogate at `config`.
-  /// Refits lazily if observations changed since the last fit.
-  [[nodiscard]] gp::Prediction predict(const Config& config);
-
   /// Captures the optimiser's full mutable state; restore() on a BayesOpt
   /// built over the same space and config reproduces the future decision
   /// stream bit-for-bit (see BayesOptSnapshot).

@@ -7,6 +7,17 @@
 
 namespace autra::core {
 
+namespace {
+
+/// Relative input-rate change that counts as "the rate changed".
+constexpr double kRateChangeTolerance = 0.10;
+/// Cap on the doubling backoff between Execute retries.
+constexpr double kRescaleBackoffMaxSec = 60.0;
+/// Multiplier on each operator's parallelism while draining lag.
+constexpr double kLagDrainBoost = 1.5;
+
+}  // namespace
+
 MetricAggregator::MetricAggregator(const sim::Topology& topology,
                                    double metric_interval_sec,
                                    double max_missing_fraction)
@@ -150,13 +161,13 @@ ScalingTrigger AuTraScaleController::analyze(
     const AggregatedMetrics& m, const runtime::Parallelism& current) const {
   if (model_rate_ > 0.0 && m.input_rate > 0.0 &&
       std::abs(m.input_rate - model_rate_) / model_rate_ >
-          params_.rate_change_tolerance) {
+          kRateChangeTolerance) {
     return ScalingTrigger::kRateChanged;
   }
   const double target = params_.steady.target_throughput > 0.0
                             ? params_.steady.target_throughput
                             : m.input_rate;
-  if (m.throughput + target * params_.steady.throughput_tolerance < target) {
+  if (m.throughput + target * kThroughputTolerance < target) {
     return ScalingTrigger::kThroughputViolation;
   }
   if (m.latency_ms > params_.steady.target_latency_ms) {
@@ -280,8 +291,7 @@ ControlDecision AuTraScaleController::plan_and_execute(
         break;
       }
       session.run_for(backoff);
-      backoff = std::min(backoff * 2.0,
-                         params_.resilience.rescale_backoff_max_sec);
+      backoff = std::min(backoff * 2.0, kRescaleBackoffMaxSec);
     }
   }
   return decision;
@@ -297,8 +307,7 @@ void AuTraScaleController::maybe_start_lag_drain(
   runtime::Parallelism boosted = saved;
   for (int& k : boosted) {
     k = std::min(max_parallelism,
-                 static_cast<int>(std::ceil(
-                     k * params_.resilience.lag_drain_boost)));
+                 static_cast<int>(std::ceil(k * kLagDrainBoost)));
   }
   if (boosted == saved) return;  // Already at capacity: nothing to boost.
 

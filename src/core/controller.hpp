@@ -128,11 +128,10 @@ struct ResilienceParams {
   /// window is declared unhealthy.
   double max_missing_fraction = 0.5;
   /// Transient Execute failures (runtime::RescaleFailed) are retried this
-  /// many times with capped exponential backoff before the decision is
-  /// abandoned for the interval.
+  /// many times with exponential backoff, capped at 60 s, before the
+  /// decision is abandoned for the interval.
   int max_rescale_retries = 4;
   double rescale_backoff_initial_sec = 5.0;
-  double rescale_backoff_max_sec = 60.0;
   /// Extra stabilisation added on top of the policy running time after a
   /// restart the controller did not command (a crash recovery): the
   /// freshly restarted job is draining lag and its windows would read as
@@ -143,14 +142,12 @@ struct ResilienceParams {
   /// which has no headroom, so the lag accumulated during downtime can
   /// persist for the rest of the run. When this bound is positive, a
   /// detected failure restart temporarily *over*-provisions the job
-  /// (every operator scaled by lag_drain_boost) until the Kafka lag drops
-  /// below `lag_drain_bound_sec` seconds of the current input rate — then
-  /// the pre-drain configuration is restored. 0 (default) keeps the
-  /// feature inert.
+  /// (every operator's parallelism times 1.5, rounded up and clamped to
+  /// the cluster's slot capacity) until the Kafka lag drops below
+  /// `lag_drain_bound_sec` seconds of the current input rate — then the
+  /// pre-drain configuration is restored. 0 (default) keeps the feature
+  /// inert.
   double lag_drain_bound_sec = 0.0;
-  /// Multiplier applied to each operator's parallelism while draining
-  /// (rounded up, clamped to the cluster's slot capacity).
-  double lag_drain_boost = 1.5;
   /// Give-up bound: the boosted configuration is restored after this many
   /// policy intervals even if the lag bound was never reached.
   int lag_drain_max_intervals = 5;
@@ -180,8 +177,6 @@ struct ControllerParams {
   /// Seconds after a restart during which decisions are suppressed; the
   /// paper recommends an integer multiple of the policy interval.
   double policy_running_time_sec = 120.0;
-  /// Relative rate change that counts as "the rate changed".
-  double rate_change_tolerance = 0.10;
   /// Tenant this controller acts for on a shared cluster; stamped into
   /// LoopStats and every ControlDecision. Invalid (default) means
   /// single-tenant.
@@ -192,7 +187,8 @@ struct ControllerParams {
 struct ControlDecision {
   double time = 0.0;
   ScalingTrigger trigger = ScalingTrigger::kNone;
-  std::string algorithm;  ///< "none", "algorithm1", "algorithm2".
+  /// "none", "algorithm1", "algorithm2", "lag-drain" or "lag-drain-restore".
+  std::string algorithm;
   runtime::Parallelism applied;
   int evaluations = 0;
   int rescale_retries = 0;     ///< Transient Execute failures survived.

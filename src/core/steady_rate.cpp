@@ -63,7 +63,7 @@ const SamplePoint* pick_best_fallback(std::span<const SamplePoint> samples,
                               : m.input_rate;
     const bool latency_ok = m.latency_ms <= params.target_latency_ms;
     const bool throughput_ok =
-        m.throughput + target * params.throughput_tolerance >= target;
+        m.throughput + target * kThroughputTolerance >= target;
     return (latency_ok ? 2 : 0) + (throughput_ok ? 1 : 0);
   };
   const SamplePoint* best = nullptr;
@@ -88,7 +88,7 @@ bool meets_requirements(const SamplePoint& sample,
   const double target = params.target_throughput > 0.0
                             ? params.target_throughput
                             : m.input_rate;
-  if (m.throughput + target * params.throughput_tolerance < target) {
+  if (m.throughput + target * kThroughputTolerance < target) {
     return false;
   }
   return sample.score >= params.score_threshold;

@@ -24,12 +24,16 @@
 
 namespace autra::core {
 
+/// Share of the throughput target a measured configuration may fall short
+/// by and still meet it: Algorithm 1's termination test and the
+/// controller's throughput trigger read the same bound.
+inline constexpr double kThroughputTolerance = 0.03;
+
 struct SteadyRateParams {
   double target_latency_ms = 0.0;
   /// Records/s the job must sustain; <= 0 means "the input data rate as
   /// measured during evaluation".
   double target_throughput = 0.0;
-  double throughput_tolerance = 0.03;
   double alpha = 0.5;
   /// Termination threshold s_t on the benefit score. The paper's
   /// experiments set 0.9 (equivalently w = 1/3 more resources allowed at

@@ -49,38 +49,8 @@ double Prediction::stddev() const noexcept { return std::sqrt(variance); }
 
 GpRegressor::GpRegressor(GpConfig config)
     : config_(std::move(config)),
-      kernel_(make_kernel(config_.kernel, config_.signal_variance,
-                          config_.length_scale)) {
+      kernel_(config_.kernel, config_.signal_variance, config_.length_scale) {
   check_noise_variance(config_.noise_variance, "GpRegressor");
-}
-
-GpRegressor::GpRegressor(const GpRegressor& other)
-    : config_(other.config_),
-      kernel_(other.kernel_->clone()),
-      fitted_(other.fitted_),
-      x_raw_(other.x_raw_),
-      y_raw_(other.y_raw_),
-      observe_count_(other.observe_count_),
-      x_(other.x_),
-      y_(other.y_),
-      x_offset_(other.x_offset_),
-      x_scale_(other.x_scale_),
-      x_lo_(other.x_lo_),
-      x_hi_(other.x_hi_),
-      y_mean_(other.y_mean_),
-      y_std_(other.y_std_),
-      chol_(other.chol_),
-      alpha_(other.alpha_),
-      log_ml_(other.log_ml_),
-      jitter_(other.jitter_),
-      stats_(other.stats_) {}
-
-GpRegressor& GpRegressor::operator=(const GpRegressor& other) {
-  if (this != &other) {
-    GpRegressor copy(other);
-    *this = std::move(copy);
-  }
-  return *this;
 }
 
 void GpRegressor::fit(const linalg::Matrix& x, const linalg::Vector& y) {
@@ -182,23 +152,23 @@ void GpRegressor::choose_hyperparameters() {
   std::vector<double> log_mls(g * g);
   const exec::ExecContext ctx(config_.threads);
   exec::parallel_for(ctx, g, [&](std::size_t b) {
-    const auto kernel = make_kernel(kernel_->kind(), 1.0, lss[b]);
+    Kernel kernel(kernel_.kind(), 1.0, lss[b]);
     std::vector<double> shape = below;
     std::vector<double> decay(below.size());
-    kernel->shape_and_decay(shape, decay);
+    kernel.shape_and_decay(shape, decay);
     // One factor buffer, refilled with the lower triangle of K + noise I
     // for each signal variance, and one vector each solve overwrites.
     linalg::Cholesky k(n);
     linalg::Vector alpha;
     for (std::size_t a = 0; a < g; ++a) {
-      kernel->set_signal_variance(svs[a]);
+      kernel.set_signal_variance(svs[a]);
       std::size_t p = 0;
       for (std::size_t i = 0; i < n; ++i) {
         const std::span<double> row = k.lower_row(i);
         for (std::size_t j = 0; j < i; ++j, ++p) {
-          row[j] = kernel->covariance(shape[p], decay[p]);
+          row[j] = kernel.covariance(shape[p], decay[p]);
         }
-        row[i] = kernel->diagonal() + config_.noise_variance;
+        row[i] = kernel.diagonal() + config_.noise_variance;
       }
       if (!k.factor_in_place()) {
         log_mls[a * g + b] = -std::numeric_limits<double>::infinity();
@@ -220,13 +190,13 @@ void GpRegressor::choose_hyperparameters() {
       best_ls = lss[i % g];
     }
   }
-  kernel_->set_signal_variance(best_sv);
-  kernel_->set_length_scale(best_ls);
+  kernel_.set_signal_variance(best_sv);
+  kernel_.set_length_scale(best_ls);
 }
 
 void GpRegressor::factor_gram() {
   const std::size_t n = x_.rows();
-  const double diagonal = kernel_->diagonal() + config_.noise_variance;
+  const double diagonal = kernel_.diagonal() + config_.noise_variance;
   linalg::Cholesky chol(n);
   // The jitter ladder, the standard defence against the nearly singular
   // Gram matrices of duplicated points: the plain matrix first, then
@@ -244,7 +214,7 @@ void GpRegressor::factor_gram() {
       for (std::size_t j = 0; j < i; ++j) {
         row[j] = linalg::squared_distance(x_.row(i), x_.row(j));
       }
-      kernel_->covariance_from_squared_distances(row.first(i));
+      kernel_.covariance_from_squared_distances(row.first(i));
       row[i] = diagonal + jitter;
     }
     if (chol.factor_in_place()) {
@@ -254,7 +224,6 @@ void GpRegressor::factor_gram() {
   }
   chol_ = std::move(chol);
   alpha_ = chol_->solve(y_);
-  log_ml_ = compute_log_ml(*chol_, y_, alpha_);
 }
 
 void GpRegressor::refresh_targets() {
@@ -327,9 +296,9 @@ void GpRegressor::observe(std::span<const double> x, double y) {
   }
   std::vector<double> z(x.size());
   for (std::size_t j = 0; j < z.size(); ++j) z[j] = normalize(x[j], j);
-  const linalg::Vector k_star = kernel_->cross(x_, z);
+  const linalg::Vector k_star = kernel_.cross(x_, z);
   try {
-    chol_->append_row(k_star, kernel_->diagonal() + config_.noise_variance);
+    chol_->append_row(k_star, kernel_.diagonal() + config_.noise_variance);
   } catch (const std::runtime_error&) {
     ++stats_.jitter_refits;
     fit_from_raw();
@@ -338,7 +307,6 @@ void GpRegressor::observe(std::span<const double> x, double y) {
   x_.append_row(z);
   refresh_targets();
   alpha_ = chol_->solve(y_);
-  log_ml_ = compute_log_ml(*chol_, y_, alpha_);
   ++stats_.incremental_updates;
 }
 
@@ -347,9 +315,9 @@ GpSnapshot GpRegressor::snapshot() const {
     throw std::logic_error("GpRegressor::snapshot: model not fitted");
   }
   GpSnapshot s;
-  s.kernel = kernel_->kind();
-  s.signal_variance = kernel_->signal_variance();
-  s.length_scale = kernel_->length_scale();
+  s.kernel = kernel_.kind();
+  s.signal_variance = kernel_.signal_variance();
+  s.length_scale = kernel_.length_scale();
   s.noise_variance = config_.noise_variance;
   s.jitter = jitter_;
   s.observe_count = observe_count_;
@@ -378,7 +346,7 @@ void GpRegressor::restore(const GpSnapshot& snap) {
   // subsequent decisions depends on keeping exactly it. It and the kernel
   // are the checks that can still throw, so they come before any change.
   linalg::Cholesky chol = linalg::Cholesky::from_lower(snap.l);
-  kernel_ = make_kernel(snap.kernel, snap.signal_variance, snap.length_scale);
+  kernel_ = Kernel(snap.kernel, snap.signal_variance, snap.length_scale);
   config_.kernel = snap.kernel;
   config_.noise_variance = snap.noise_variance;
 
@@ -401,7 +369,6 @@ void GpRegressor::restore(const GpSnapshot& snap) {
   refresh_targets();
   chol_ = std::move(chol);
   alpha_ = chol_->solve(y_);
-  log_ml_ = compute_log_ml(*chol_, y_, alpha_);
   jitter_ = snap.jitter;
   observe_count_ = snap.observe_count;
   fitted_ = true;
@@ -427,7 +394,7 @@ void GpRegressor::predict_batch(std::span<const double> rows,
       ws.z[j * m + c] = normalize(rows[c * d + j], j);
     }
   }
-  kernel_->cross(x_, ws.z, ws.k);
+  kernel_.cross(x_, ws.z, ws.k);
 
   // Per point: mean = dot(k*, alpha) and variance = diag - dot(v, v) with
   // v = L^-1 k*, each summed in ascending training index from 0.0. `out`
@@ -443,7 +410,7 @@ void GpRegressor::predict_batch(std::span<const double> rows,
     const double* vi = ws.k.data() + i * m;
     for (std::size_t c = 0; c < m; ++c) out[c].variance += vi[c] * vi[c];
   }
-  const double diag = kernel_->diagonal();
+  const double diag = kernel_.diagonal();
   for (Prediction& p : out) {
     const double var_n = std::max(diag - p.variance, 0.0);
     p.mean = p.mean * y_std_ + y_mean_;
@@ -458,28 +425,12 @@ Prediction GpRegressor::predict(std::span<const double> x_star) const {
   return p;
 }
 
-std::vector<Prediction> GpRegressor::predict(const linalg::Matrix& x) const {
-  std::vector<Prediction> out(x.rows());
-  PredictWorkspace ws;
-  predict_batch(x.data(), out, ws);
-  return out;
-}
-
 double GpRegressor::log_marginal_likelihood() const {
   if (!fitted_) {
     throw std::logic_error(
         "GpRegressor::log_marginal_likelihood: model not fitted");
   }
-  return log_ml_;
-}
-
-double GpRegressor::best_observed() const {
-  if (!fitted_) {
-    throw std::logic_error("GpRegressor::best_observed: model not fitted");
-  }
-  double best = -std::numeric_limits<double>::infinity();
-  for (double v : y_) best = std::max(best, v);
-  return best * y_std_ + y_mean_;
+  return compute_log_ml(*chol_, y_, alpha_);
 }
 
 }  // namespace autra::gp

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -116,14 +115,6 @@ class GpRegressor {
   /// noise_variance.
   explicit GpRegressor(GpConfig config = {});
 
-  // Copyable (the kernel is deep-cloned) and movable, so models can live in
-  // value-semantic containers like the model library.
-  GpRegressor(const GpRegressor& other);
-  GpRegressor& operator=(const GpRegressor& other);
-  GpRegressor(GpRegressor&&) noexcept = default;
-  GpRegressor& operator=(GpRegressor&&) noexcept = default;
-  ~GpRegressor() = default;
-
   /// Fits the model to `x` (row per sample) and targets `y`.
   /// Throws std::invalid_argument on shape mismatch, empty data or any
   /// non-finite value, before any state changes. Throws
@@ -154,7 +145,7 @@ class GpRegressor {
   [[nodiscard]] GpSnapshot snapshot() const;
 
   /// Rebuilds the fitted state from a snapshot (derived quantities —
-  /// normalised data, alpha, log-ML — are recomputed from it
+  /// normalised data and alpha — are recomputed from it
   /// deterministically). Throws std::invalid_argument, before any state
   /// changes, on inconsistent shapes, a non-positive factor diagonal,
   /// non-positive kernel hyper-parameters or a negative or non-finite
@@ -175,22 +166,17 @@ class GpRegressor {
   /// Posterior mean/variance at one point: a one-row predict_batch.
   [[nodiscard]] Prediction predict(std::span<const double> x_star) const;
 
-  /// Posterior at every row of `x`: a one-block predict_batch.
-  [[nodiscard]] std::vector<Prediction> predict(const linalg::Matrix& x) const;
-
-  /// Log marginal likelihood of the fitted model (on normalised targets).
+  /// Log marginal likelihood of the fitted model (on normalised targets),
+  /// computed from the cached factor on each call.
   [[nodiscard]] double log_marginal_likelihood() const;
 
   [[nodiscard]] bool is_fitted() const noexcept { return fitted_; }
   [[nodiscard]] std::size_t num_samples() const noexcept { return x_.rows(); }
   [[nodiscard]] std::size_t input_dim() const noexcept { return x_.cols(); }
-  [[nodiscard]] const Kernel& kernel() const { return *kernel_; }
+  [[nodiscard]] const Kernel& kernel() const noexcept { return kernel_; }
   [[nodiscard]] const GpConfig& config() const noexcept { return config_; }
   /// Which update paths ran over this model's lifetime.
   [[nodiscard]] const FitStats& fit_stats() const noexcept { return stats_; }
-
-  /// Best (maximum) observed target value, in original units.
-  [[nodiscard]] double best_observed() const;
 
  private:
   void fit_from_raw();
@@ -199,7 +185,7 @@ class GpRegressor {
   void choose_hyperparameters();
   /// Factors K + noise I of the normalised data, built in the factor's own
   /// buffer, climbing the jitter ladder until it factors; sets the cached
-  /// factor, jitter, alpha and log-ML.
+  /// factor, jitter and alpha.
   void factor_gram();
   void refresh_targets();
   /// Coordinate j of an input, mapped into the unit box of the last fit.
@@ -208,7 +194,7 @@ class GpRegressor {
   }
 
   GpConfig config_;
-  std::unique_ptr<Kernel> kernel_;
+  Kernel kernel_;
   bool fitted_ = false;
 
   // Raw training window in original units (what fit()/observe() were given;
@@ -233,7 +219,6 @@ class GpRegressor {
 
   std::optional<linalg::Cholesky> chol_;
   linalg::Vector alpha_;  // K^-1 y (normalised).
-  double log_ml_ = 0.0;
   double jitter_ = 0.0;  ///< Jitter baked into the cached factor.
   FitStats stats_;
 };

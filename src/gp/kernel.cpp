@@ -3,11 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace autra::gp {
 
-Kernel::Kernel(double signal_variance, double length_scale)
-    : signal_variance_(signal_variance), length_scale_(length_scale) {
+Kernel::Kernel(KernelKind kind, double signal_variance, double length_scale)
+    : kind_(kind),
+      signal_variance_(signal_variance),
+      length_scale_(length_scale) {
   if (signal_variance <= 0.0 || length_scale <= 0.0) {
     throw std::invalid_argument("Kernel: hyper-parameters must be positive");
   }
@@ -25,25 +28,6 @@ void Kernel::set_length_scale(double l) {
     throw std::invalid_argument("Kernel: length scale must be positive");
   }
   length_scale_ = l;
-}
-
-std::vector<double> Kernel::log_params() const {
-  return {std::log(signal_variance_), std::log(length_scale_)};
-}
-
-void Kernel::set_log_params(std::span<const double> p) {
-  if (p.size() != 2) {
-    throw std::invalid_argument("Kernel::set_log_params: expected 2 params");
-  }
-  signal_variance_ = std::exp(p[0]);
-  length_scale_ = std::exp(p[1]);
-}
-
-double Kernel::operator()(std::span<const double> a,
-                          std::span<const double> b) const {
-  double k = linalg::squared_distance(a, b);
-  covariance_from_squared_distances({&k, 1});
-  return k;
 }
 
 linalg::Vector Kernel::cross(const linalg::Matrix& x,
@@ -93,34 +77,34 @@ void Kernel::covariance_from_squared_distances(
   }
 }
 
-// k = s2 (1 + sqrt5 r/l + 5 r^2 / (3 l^2)) exp(-sqrt5 r/l).
-void Matern52::shape_and_decay(std::span<double> values,
-                               std::span<double> decay) const {
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    const double r = std::sqrt(values[i]) / length_scale_;
-    const double s = std::sqrt(5.0) * r;
-    values[i] = 1.0 + s + s * s / 3.0;
-    decay[i] = std::exp(-s);
-  }
-}
-
-// k = s2 (1 + sqrt3 r/l) exp(-sqrt3 r/l).
-void Matern32::shape_and_decay(std::span<double> values,
-                               std::span<double> decay) const {
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    const double r = std::sqrt(values[i]) / length_scale_;
-    const double s = std::sqrt(3.0) * r;
-    values[i] = 1.0 + s;
-    decay[i] = std::exp(-s);
-  }
-}
-
-// k = s2 exp(-r^2 / (2 l^2)); s2 * 1.0 is s2 exactly.
-void Rbf::shape_and_decay(std::span<double> values,
-                          std::span<double> decay) const {
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    decay[i] = std::exp(-values[i] / (2.0 * length_scale_ * length_scale_));
-    values[i] = 1.0;
+void Kernel::shape_and_decay(std::span<double> values,
+                             std::span<double> decay) const {
+  switch (kind_) {
+    case KernelKind::kMatern52:
+      // k = s2 (1 + sqrt5 r/l + 5 r^2 / (3 l^2)) exp(-sqrt5 r/l).
+      for (std::size_t i = 0; i < values.size(); ++i) {
+        const double r = std::sqrt(values[i]) / length_scale_;
+        const double s = std::sqrt(5.0) * r;
+        values[i] = 1.0 + s + s * s / 3.0;
+        decay[i] = std::exp(-s);
+      }
+      return;
+    case KernelKind::kMatern32:
+      // k = s2 (1 + sqrt3 r/l) exp(-sqrt3 r/l).
+      for (std::size_t i = 0; i < values.size(); ++i) {
+        const double r = std::sqrt(values[i]) / length_scale_;
+        const double s = std::sqrt(3.0) * r;
+        values[i] = 1.0 + s;
+        decay[i] = std::exp(-s);
+      }
+      return;
+    case KernelKind::kRbf:
+      // k = s2 exp(-r^2 / (2 l^2)); s2 * 1.0 is s2 exactly.
+      for (std::size_t i = 0; i < values.size(); ++i) {
+        decay[i] = std::exp(-values[i] / (2.0 * length_scale_ * length_scale_));
+        values[i] = 1.0;
+      }
+      return;
   }
 }
 
@@ -142,19 +126,6 @@ KernelKind parse_kernel_kind(std::string_view name) {
   if (name == "rbf") return KernelKind::kRbf;
   throw std::invalid_argument("parse_kernel_kind: unknown kernel '" +
                               std::string(name) + "'");
-}
-
-std::unique_ptr<Kernel> make_kernel(KernelKind kind, double signal_variance,
-                                    double length_scale) {
-  switch (kind) {
-    case KernelKind::kMatern52:
-      return std::make_unique<Matern52>(signal_variance, length_scale);
-    case KernelKind::kMatern32:
-      return std::make_unique<Matern32>(signal_variance, length_scale);
-    case KernelKind::kRbf:
-      return std::make_unique<Rbf>(signal_variance, length_scale);
-  }
-  throw std::invalid_argument("make_kernel: invalid kernel kind");
 }
 
 }  // namespace autra::gp

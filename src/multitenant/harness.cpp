@@ -8,6 +8,14 @@
 
 namespace autra::mt {
 
+namespace {
+
+/// Interference-exchange cadence: every tenant advances in slices of this
+/// length, publishing and receiving co-tenant load at each boundary.
+constexpr double kCouplingIntervalSec = 1.0;
+
+}  // namespace
+
 void TenantSession::run_for(double sec) {
   harness_->tenant_run_for(index_, sec);
 }
@@ -17,15 +25,10 @@ void TenantSession::reconfigure(const runtime::Parallelism& p,
   harness_->tenant_reconfigure(index_, p, mode);
 }
 
-MultiTenantHarness::MultiTenantHarness(std::shared_ptr<SharedCluster> cluster,
-                                       HarnessParams params)
-    : shared_(std::move(cluster)), params_(params) {
+MultiTenantHarness::MultiTenantHarness(std::shared_ptr<SharedCluster> cluster)
+    : shared_(std::move(cluster)) {
   if (!shared_) {
     throw std::invalid_argument("MultiTenantHarness: null shared cluster");
-  }
-  if (params_.coupling_interval_sec <= 0.0) {
-    throw std::invalid_argument(
-        "MultiTenantHarness: coupling interval must be positive");
   }
 }
 
@@ -138,7 +141,7 @@ void MultiTenantHarness::advance_all(double target) {
   started_ = true;
   double t = now();
   while (t + runtime::kRunForToleranceSec < target) {
-    const double next = std::min(target, t + params_.coupling_interval_sec);
+    const double next = std::min(target, t + kCouplingIntervalSec);
     // Shared absolute targets: each tenant's engine runs whole ticks up to
     // `next`, so the slicing cannot perturb its float arithmetic.
     for (Tenant& tenant : tenants_) tenant.session->run_to(next);

@@ -2,9 +2,9 @@
 //
 // MultiTenantHarness runs N (session, controller) pairs against one
 // SharedCluster in lockstep. Time advances for every tenant through the
-// same absolute targets, sliced at a fixed coupling interval; at each
-// slice boundary every tenant publishes its per-machine busy-core load
-// and per-rack uplink throughput to the SharedCluster's interference
+// same absolute targets, sliced at a fixed one-second coupling interval;
+// at each slice boundary every tenant publishes its per-machine busy-core
+// load and per-rack uplink throughput to the SharedCluster's interference
 // boards, and receives the sum over the other tenants back into its
 // engine — so one tenant's scale-up degrades its neighbours' machine
 // factors and uplink budgets exactly through the engine's existing
@@ -90,16 +90,9 @@ struct TenantSpec {
   double weight = 1.0;
 };
 
-struct HarnessParams {
-  /// Interference-exchange cadence: every tenant advances in slices of
-  /// this length, publishing/receiving co-tenant load at each boundary.
-  double coupling_interval_sec = 1.0;
-};
-
 class MultiTenantHarness {
  public:
-  MultiTenantHarness(std::shared_ptr<SharedCluster> cluster,
-                     HarnessParams params = {});
+  explicit MultiTenantHarness(std::shared_ptr<SharedCluster> cluster);
 
   /// Adds a tenant before the first advance: leases its slots, builds its
   /// session/controller pair, and resolves its per-tenant series in the
@@ -176,7 +169,6 @@ class MultiTenantHarness {
                           runtime::RescaleMode mode);
 
   std::shared_ptr<SharedCluster> shared_;
-  HarnessParams params_;
   runtime::TenantRegistry registry_;
   std::vector<Tenant> tenants_;
   runtime::MetricStore metrics_;

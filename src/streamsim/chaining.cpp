@@ -96,17 +96,4 @@ ChainingResult chain_operators(const Topology& t) {
   return result;
 }
 
-Parallelism unchain_parallelism(const ChainingResult& chained,
-                                const Parallelism& grouped) {
-  if (grouped.size() != chained.topology.num_operators()) {
-    throw std::invalid_argument(
-        "unchain_parallelism: parallelism size mismatch");
-  }
-  Parallelism out(chained.group_of.size());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = grouped[chained.group_of[i]];
-  }
-  return out;
-}
-
 }  // namespace autra::sim

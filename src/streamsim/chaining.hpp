@@ -16,7 +16,6 @@
 
 #include <vector>
 
-#include "streamsim/cluster.hpp"
 #include "streamsim/topology.hpp"
 
 namespace autra::sim {
@@ -34,11 +33,5 @@ struct ChainingResult {
 /// Fuses every chainable run of operators. The input topology must
 /// validate; the output topology validates too.
 [[nodiscard]] ChainingResult chain_operators(const Topology& t);
-
-/// Expands a parallelism vector for the chained topology back to the
-/// original operator indices (each original operator inherits its group's
-/// parallelism).
-[[nodiscard]] Parallelism unchain_parallelism(const ChainingResult& chained,
-                                              const Parallelism& grouped);
 
 }  // namespace autra::sim

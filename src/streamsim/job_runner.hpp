@@ -94,12 +94,6 @@ class JobRunner {
   [[nodiscard]] std::size_t num_operators() const noexcept {
     return spec_.topology.num_operators();
   }
-  [[nodiscard]] double warmup_sec() const noexcept {
-    return params_.warmup_sec;
-  }
-  [[nodiscard]] double measure_sec() const noexcept {
-    return params_.measure_sec;
-  }
 
   /// Total evaluations performed so far (each is one job restart in the
   /// paper's terms — the cost the transfer-learning method saves).

@@ -1,10 +1,13 @@
 // Input-rate schedules: how fast the producers write into the Kafka log as
 // a function of simulation time. The paper's cases use constant rates and
 // staircase ramps (Fig. 1: 100k records/s + 50k every 10 minutes).
+//
+// A schedule is immutable once built and travels as a
+// shared_ptr<const RateSchedule>: every restart, rescale and trial of a
+// job reads the same object, so all of them see the same input.
 #pragma once
 
-#include <functional>
-#include <memory>
+#include <utility>
 #include <vector>
 
 namespace autra::sim {
@@ -14,7 +17,6 @@ class RateSchedule {
  public:
   virtual ~RateSchedule() = default;
   [[nodiscard]] virtual double rate_at(double t) const = 0;
-  [[nodiscard]] virtual std::unique_ptr<RateSchedule> clone() const = 0;
 };
 
 /// Constant rate.
@@ -22,9 +24,6 @@ class ConstantRate final : public RateSchedule {
  public:
   explicit ConstantRate(double rate);
   [[nodiscard]] double rate_at(double) const override { return rate_; }
-  [[nodiscard]] std::unique_ptr<RateSchedule> clone() const override {
-    return std::make_unique<ConstantRate>(*this);
-  }
 
  private:
   double rate_;
@@ -35,9 +34,6 @@ class StaircaseRate final : public RateSchedule {
  public:
   StaircaseRate(double base, double step, double period);
   [[nodiscard]] double rate_at(double t) const override;
-  [[nodiscard]] std::unique_ptr<RateSchedule> clone() const override {
-    return std::make_unique<StaircaseRate>(*this);
-  }
 
  private:
   double base_;
@@ -52,9 +48,6 @@ class PiecewiseRate final : public RateSchedule {
   /// starting at 0.
   explicit PiecewiseRate(std::vector<std::pair<double, double>> breakpoints);
   [[nodiscard]] double rate_at(double t) const override;
-  [[nodiscard]] std::unique_ptr<RateSchedule> clone() const override {
-    return std::make_unique<PiecewiseRate>(*this);
-  }
 
  private:
   std::vector<std::pair<double, double>> breakpoints_;

@@ -54,14 +54,6 @@ std::vector<std::size_t> Topology::sources() const {
   return out;
 }
 
-std::vector<std::size_t> Topology::sinks() const {
-  std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < ops_.size(); ++i) {
-    if (downstream_[i].empty()) out.push_back(i);
-  }
-  return out;
-}
-
 std::vector<std::size_t> Topology::topological_order() const {
   std::vector<std::size_t> indegree(ops_.size(), 0);
   for (std::size_t i = 0; i < ops_.size(); ++i) {
@@ -143,13 +135,6 @@ void Topology::validate() const {
                              "' unreachable from any source");
     }
   }
-}
-
-std::size_t Topology::index_of(const std::string& name) const {
-  for (std::size_t i = 0; i < ops_.size(); ++i) {
-    if (ops_[i].name == name) return i;
-  }
-  throw std::out_of_range("Topology: no operator named '" + name + "'");
 }
 
 }  // namespace autra::sim

@@ -89,7 +89,6 @@ class Topology {
   }
 
   [[nodiscard]] std::vector<std::size_t> sources() const;
-  [[nodiscard]] std::vector<std::size_t> sinks() const;
 
   /// Topological order of operator indices. Throws std::logic_error if the
   /// graph has a cycle.
@@ -99,9 +98,6 @@ class Topology {
   /// non-source reachable from a source, acyclic. Throws std::logic_error
   /// with a description on failure.
   void validate() const;
-
-  /// Index of the operator with the given name; throws std::out_of_range.
-  [[nodiscard]] std::size_t index_of(const std::string& name) const;
 
  private:
   std::vector<OperatorSpec> ops_;

@@ -262,11 +262,6 @@ TEST(BayesOpt, OptimizesConcaveFunction) {
   EXPECT_NEAR(best[1], 3, 1);
 }
 
-TEST(BayesOpt, PredictBeforeObservationsThrows) {
-  BayesOpt opt(SearchSpace({1}, {5}));
-  EXPECT_THROW((void)opt.predict({3}), std::logic_error);
-}
-
 TEST(BayesOpt, SingleObservationSuggestsRandomFresh) {
   BayesOpt opt(SearchSpace({1}, {9}));
   opt.observe({5}, 0.5);
@@ -286,15 +281,6 @@ TEST(BayesOpt, TinyCandidateBudgetStillWorks) {
     ASSERT_TRUE(opt.space().contains(next));
     opt.observe(next, 0.5);
   }
-}
-
-TEST(BayesOpt, PredictMatchesSurrogateAfterFit) {
-  BayesOpt opt(SearchSpace({1}, {10}));
-  for (int x = 1; x <= 10; x += 3) {
-    opt.observe({x}, static_cast<double>(x));
-  }
-  const gp::Prediction p = opt.predict({7});
-  EXPECT_NEAR(p.mean, 7.0, 1.5);
 }
 
 // Property: across seeds, BO on a separable quadratic beats random search

@@ -78,14 +78,6 @@ TEST(Chaining, CostsWeightedBySelectivity) {
   EXPECT_DOUBLE_EQ(r.topology.op(1).selectivity, 0.0);
 }
 
-TEST(Chaining, UnchainParallelismExpands) {
-  const ChainingResult r = chain_operators(mixed_chain());
-  const Parallelism grouped{2, 5};
-  EXPECT_EQ(unchain_parallelism(r, grouped),
-            (Parallelism{2, 2, 2, 5, 5, 5}));
-  EXPECT_THROW(unchain_parallelism(r, {1}), std::invalid_argument);
-}
-
 TEST(Chaining, DiamondCollapsesWithoutDuplicateEdges) {
   Topology t;
   t.add_operator({.name = "src",

@@ -47,12 +47,6 @@ TEST(PiecewiseRate, LookupAndValidation) {
   EXPECT_THROW(PiecewiseRate({{0.0, -10.0}}), std::invalid_argument);
 }
 
-TEST(RateSchedule, CloneIsDeep) {
-  const StaircaseRate r(10.0, 5.0, 1.0);
-  const auto c = r.clone();
-  EXPECT_DOUBLE_EQ(c->rate_at(2.5), 20.0);
-}
-
 TEST(KafkaLog, NullScheduleThrows) {
   EXPECT_THROW(KafkaLog(std::shared_ptr<const RateSchedule>()),
                std::invalid_argument);

@@ -44,7 +44,10 @@ TEST(Topology, UpDownStream) {
 TEST(Topology, SourcesAndSinks) {
   const Topology t = linear_chain();
   EXPECT_EQ(t.sources(), std::vector<std::size_t>{0});
-  EXPECT_EQ(t.sinks(), std::vector<std::size_t>{2});
+  // The sink is the one operator without downstream edges.
+  for (std::size_t i = 0; i < t.num_operators(); ++i) {
+    EXPECT_EQ(t.downstream(i).empty(), i == 2) << i;
+  }
 }
 
 TEST(Topology, TopologicalOrderOfDiamond) {
@@ -115,12 +118,6 @@ TEST(Topology, ValidateRejectsCycleBehindSource) {
   t.connect(2, 1);  // a <-> b cycle reachable from the source
   EXPECT_THROW((void)t.topological_order(), std::logic_error);
   EXPECT_THROW(t.validate(), std::logic_error);
-}
-
-TEST(Topology, IndexOf) {
-  const Topology t = linear_chain();
-  EXPECT_EQ(t.index_of("map"), 1u);
-  EXPECT_THROW(t.index_of("nope"), std::out_of_range);
 }
 
 TEST(Topology, TotalCost) {
